@@ -502,8 +502,7 @@ func (a *Advisor) ddlHit(ddl map[string]struct{}, rels []string) bool {
 }
 
 func (a *Advisor) negativeBenefit(ti core.TierInfo) bool {
-	u := a.deps.Mod.Usage(ti.Kind, ti.Name)
-	return u.Rows() >= a.cfg.MinRows && u.SignedEstSavedNs() < 0
+	return ti.Usage.Rows() >= a.cfg.MinRows && ti.Usage.SignedEstSavedNs() < 0
 }
 
 func (a *Advisor) sketchStats(table string, ord int) (ndv int, rows int64) {

@@ -32,7 +32,7 @@ func counter(reg *metrics.Registry, name string) int64 {
 func TestPromotionAndPin(t *testing.T) {
 	a, mod, reg := testAdvisor(Config{HotThreshold: 3, PinStreak: 2})
 
-	obs := []BeeObs{{Kind: "query/EVP", Name: "(x < 10)"}}
+	obs := []BeeObs{{Kind: core.KindEVP, Name: "(x < 10)"}}
 	a.ObservePlan([]string{"t"}, nil, obs, false)
 	a.RunCycle() // heat 1 → no promotion
 	if got := counter(reg, "advisor.promotions"); got != 0 {
@@ -46,7 +46,7 @@ func TestPromotionAndPin(t *testing.T) {
 	if got := counter(reg, "advisor.promotions"); got != 1 {
 		t.Fatalf("promotions = %d, want 1", got)
 	}
-	if st, _ := mod.TierOf("query/EVP", "(x < 10)"); st != core.TierCompiled {
+	if st, _ := mod.TierOf(core.KindEVP, "(x < 10)"); st != core.TierCompiled {
 		t.Fatalf("state = %v, want compiled", st)
 	}
 
@@ -57,7 +57,7 @@ func TestPromotionAndPin(t *testing.T) {
 		}
 		a.RunCycle()
 	}
-	if st, _ := mod.TierOf("query/EVP", "(x < 10)"); st != core.TierPinned {
+	if st, _ := mod.TierOf(core.KindEVP, "(x < 10)"); st != core.TierPinned {
 		t.Fatalf("state = %v, want pinned", st)
 	}
 	// Pinned bees never cold-demote: idle cycles leave them alone.
@@ -75,12 +75,12 @@ func TestPromotionAndPin(t *testing.T) {
 func TestColdDemotionIsExactlyOnce(t *testing.T) {
 	a, mod, reg := testAdvisor(Config{HotThreshold: 3, ColdStreak: 2, PinStreak: 99})
 
-	obs := []BeeObs{{Kind: "query/EVP", Name: "(x < 10)"}}
+	obs := []BeeObs{{Kind: core.KindEVP, Name: "(x < 10)"}}
 	for i := 0; i < 5; i++ {
 		a.ObservePlan([]string{"t"}, nil, obs, false)
 	}
 	a.RunCycle()
-	if st, _ := mod.TierOf("query/EVP", "(x < 10)"); st != core.TierCompiled {
+	if st, _ := mod.TierOf(core.KindEVP, "(x < 10)"); st != core.TierCompiled {
 		t.Fatalf("state = %v, want compiled", st)
 	}
 
@@ -105,13 +105,13 @@ func TestColdDemotionIsExactlyOnce(t *testing.T) {
 // fast ones, so the hot-set tracks where specialization pays most.
 func TestSlowQueriesBoostHeat(t *testing.T) {
 	a, mod, _ := testAdvisor(Config{HotThreshold: 4, SlowBoost: 4})
-	a.ObservePlan([]string{"t"}, nil, []BeeObs{{Kind: "query/EVP", Name: "(slow)"}}, true)
-	a.ObservePlan([]string{"t"}, nil, []BeeObs{{Kind: "query/EVP", Name: "(fast)"}}, false)
+	a.ObservePlan([]string{"t"}, nil, []BeeObs{{Kind: core.KindEVP, Name: "(slow)"}}, true)
+	a.ObservePlan([]string{"t"}, nil, []BeeObs{{Kind: core.KindEVP, Name: "(fast)"}}, false)
 	a.RunCycle()
-	if st, _ := mod.TierOf("query/EVP", "(slow)"); st != core.TierCompiled {
+	if st, _ := mod.TierOf(core.KindEVP, "(slow)"); st != core.TierCompiled {
 		t.Fatalf("slow-path bee state = %v, want compiled after one boosted hit", st)
 	}
-	if st, _ := mod.TierOf("query/EVP", "(fast)"); st != core.TierCandidate {
+	if st, _ := mod.TierOf(core.KindEVP, "(fast)"); st != core.TierCandidate {
 		t.Fatalf("fast-path bee state = %v, want still candidate", st)
 	}
 }
@@ -122,7 +122,7 @@ func TestPromotionBudget(t *testing.T) {
 	names := []string{"(a)", "(b)", "(c)", "(d)", "(e)"}
 	for _, n := range names {
 		for i := 0; i < 3; i++ {
-			a.ObservePlan([]string{"t"}, nil, []BeeObs{{Kind: "query/EVP", Name: n}}, false)
+			a.ObservePlan([]string{"t"}, nil, []BeeObs{{Kind: core.KindEVP, Name: n}}, false)
 		}
 	}
 	a.RunCycle()

@@ -21,22 +21,23 @@ func TestBeeBenefitAttribution(t *testing.T) {
 		L:  &expr.Var{Idx: 0, T: types.Int32},
 		R:  expr.NewConst(types.NewInt32(10)),
 	}
-	if _, ok := m.CompileBatchPredicate(pred); !ok {
-		t.Fatal("CompileBatchPredicate failed")
+	cp, ok := m.CompilePredicate(pred)
+	if !ok {
+		t.Fatal("CompilePredicate failed")
 	}
-	u := m.Usage("query/EVP", pred.String())
+	u := cp.Usage
 	if u == nil {
 		t.Fatal("no usage entry registered for compiled predicate")
 	}
-	if m.Usage("query/EVP", "no-such-bee") != nil {
-		t.Fatal("Usage invented an entry for an unknown bee")
+	if m.bees.usage(beeKey{kind: KindEVP, name: "no-such-bee"}) != nil {
+		t.Fatal("bee table invented an entry for an unknown bee")
 	}
 
 	// The executor reports 1000 rows over 5000ns of observed bee time.
 	u.Note(1000, 5000)
 	var got *BeeBenefit
 	for i, b := range m.BeeBenefits() {
-		if b.Kind == "query/EVP" && b.Name == pred.String() {
+		if b.Kind == KindEVP && b.Name == pred.String() {
 			got = &m.BeeBenefits()[i]
 			break
 		}
@@ -61,10 +62,10 @@ func TestBeeBenefitsSortedBySaving(t *testing.T) {
 	m := NewModule(AllRoutines)
 	p1 := &expr.Cmp{Op: expr.LT, L: &expr.Var{Idx: 0, T: types.Int32}, R: expr.NewConst(types.NewInt32(1))}
 	p2 := &expr.Cmp{Op: expr.GT, L: &expr.Var{Idx: 1, T: types.Int32}, R: expr.NewConst(types.NewInt32(2))}
-	m.CompileBatchPredicate(p1)
-	m.CompileBatchPredicate(p2)
-	m.Usage("query/EVP", p1.String()).Note(10, 100)
-	m.Usage("query/EVP", p2.String()).Note(10, 100000)
+	b1, _ := m.CompilePredicate(p1)
+	b2, _ := m.CompilePredicate(p2)
+	b1.Usage.Note(10, 100)
+	b2.Usage.Note(10, 100000)
 	bb := m.BeeBenefits()
 	if len(bb) < 2 {
 		t.Fatalf("got %d benefit rows, want ≥2", len(bb))

@@ -14,9 +14,10 @@ import (
 // (which assigns bees to instruction-cache-friendly locations), and the
 // Bee Collector (garbage collection of dead bees).
 
-// beeKey identifies one bee in the cache.
+// beeKey identifies one bee in the cache, the quarantine, the tier
+// table, and the bee table.
 type beeKey struct {
-	kind string // "relation", "query/EVP", "query/EVJ"
+	kind string // one of the Kind* constants (admit.go)
 	name string
 }
 

@@ -339,13 +339,13 @@ func TestCompilePredicate(t *testing.T) {
 		t.Fatal("EVP compilation failed for age <= 45")
 	}
 	ctx := &expr.Ctx{Prof: &profile.Counters{}}
-	if v := cp(expr.Row{types.NewInt32(30)}, ctx); !v.Bool() {
+	if v := cp.Eval(expr.Row{types.NewInt32(30)}, ctx); !v.Bool() {
 		t.Error("30 <= 45 must hold")
 	}
-	if v := cp(expr.Row{types.NewInt32(50)}, ctx); v.Bool() {
+	if v := cp.Eval(expr.Row{types.NewInt32(50)}, ctx); v.Bool() {
 		t.Error("50 <= 45 must not hold")
 	}
-	if v := cp(expr.Row{types.Null}, ctx); !v.IsNull() {
+	if v := cp.Eval(expr.Row{types.Null}, ctx); !v.IsNull() {
 		t.Error("NULL <= 45 must be unknown")
 	}
 	if ctx.Prof.Component(profile.CompExpr) == 0 {
@@ -387,11 +387,11 @@ func TestCompilePredicateComplexShapes(t *testing.T) {
 		types.NewDate(d0 + 100), types.NewChar("MAIL"),
 	}
 	ctx := &expr.Ctx{}
-	if !cp(row, ctx).Bool() {
+	if !cp.Eval(row, ctx).Bool() {
 		t.Error("matching row rejected")
 	}
 	row[1] = types.NewFloat64(0.10)
-	if cp(row, ctx).Bool() {
+	if cp.Eval(row, ctx).Bool() {
 		t.Error("non-matching row accepted")
 	}
 
@@ -406,7 +406,7 @@ func TestCompilePredicateComplexShapes(t *testing.T) {
 	}
 	for _, r := range []expr.Row{row, {types.NewFloat64(1), types.NewFloat64(0), types.NewDate(0), types.NewChar("XX")}} {
 		want := pred2.Eval(r, ctx)
-		got := cp2(r, ctx)
+		got := cp2.Eval(r, ctx)
 		if want.IsNull() != got.IsNull() || (!want.IsNull() && want.Bool() != got.Bool()) {
 			t.Errorf("EVP disagrees with interpreter on %v: %v vs %v", r, got, want)
 		}

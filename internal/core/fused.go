@@ -18,12 +18,18 @@ import (
 // at the first failing one — composing the two specialized routines the
 // way a hand-written scan loop would.
 
-// FusedScanFilterFunc is the composed scan-filter routine: it deforms the
-// live tuples of a page into out while evaluating the predicate, and
-// appends the ordinals of passing tuples to sel (rows of rejected
-// ordinals are left partially deformed — consumers must honour the
-// selection vector).
-type FusedScanFilterFunc func(tups [][]byte, out []expr.Row, natts int, sel []int32, prof *profile.Counters) []int32
+// FusedScan is the admitted fused GCL∘EVP bee. It carries the
+// predicate's EVP descriptor: the fused routine shares the predicate's
+// query/EVP cache, quarantine, and benefit key, so a panic in any form
+// quarantines all of them and the next plan falls back to the generic
+// path.
+type FusedScan struct {
+	*Bee
+	checks  []fusedCheck
+	ops     []deformOp
+	combos  *comboTable
+	gclCost []int64
+}
 
 // fusedCheck is one conjunct scheduled into the deform program: pred runs
 // as soon as attributes [0, attr] have been deformed.
@@ -35,9 +41,9 @@ type fusedCheck struct {
 
 // CompileFusedScanFilter attempts to build the fused GCL∘EVP routine for
 // filtering rel's tuples with predicate e over its first natts
-// attributes. It requires both routine classes enabled, a non-nullable
-// schema (the specialized deform program), and full snippet coverage of
-// every conjunct; otherwise (nil, false) and the planner keeps the
+// attributes. It requires GCL enabled, a non-nullable schema (the
+// specialized deform program), full snippet coverage of every conjunct,
+// and EVP admission; otherwise (nil, false) and the planner keeps the
 // separate BatchSeqScan→BatchFilter pair.
 //
 // The conjuncts are evaluated in ascending order of the highest attribute
@@ -45,91 +51,88 @@ type fusedCheck struct {
 // passes iff no conjunct evaluates to false or NULL, which is
 // order-independent for the side-effect-free expressions the snippet
 // library covers.
-//
-// The routine shares the predicate's query/EVP cache and quarantine key,
-// so a panic in either form quarantines both and the next plan falls back
-// to the generic path.
-func (m *Module) CompileFusedScanFilter(rel *catalog.Relation, e expr.Expr, natts int) (FusedScanFilterFunc, bool) {
+func (m *Module) CompileFusedScanFilter(rel *catalog.Relation, e expr.Expr, natts int) (*FusedScan, bool) {
 	m.mu.RLock()
-	enabled := m.routines.GCL && m.routines.EVP
+	enabled := m.routines.GCL
 	rb := m.relBees[rel.ID]
 	m.mu.RUnlock()
 	if !enabled || e == nil || rb == nil || rb.gclCost == nil {
 		return nil, false
 	}
 	name := e.String()
-	if m.quar.has(beeKey{kind: "query/EVP", name: name}) {
-		return nil, false // quarantined after a panic: generic fallback
-	}
-	if !m.tier.allow(beeKey{kind: "query/EVP", name: name}, rel.Name) {
-		return nil, false // gated by the advisor tier table: stock path
-	}
-	var checks []fusedCheck
-	for _, c := range flattenAnd(e, nil) {
-		p, terms := compileNode(c)
-		if p == nil {
-			return nil, false
+	f := &FusedScan{gclCost: rb.gclCost}
+	f.Bee = m.admit(KindEVP, name, rel.Name, func() (compiled, bool) {
+		for _, c := range flattenAnd(e, nil) {
+			p, terms := compileNode(c)
+			if p == nil {
+				return compiled{}, false
+			}
+			attr, ok := maxVarIdx(c)
+			if !ok || attr >= natts {
+				return compiled{}, false
+			}
+			f.checks = append(f.checks, fusedCheck{attr: attr, pred: p, cost: int64(terms) * evpTermCost})
 		}
-		attr, ok := maxVarIdx(c)
-		if !ok || attr >= natts {
-			return nil, false
+		slices.SortStableFunc(f.checks, func(a, b fusedCheck) int { return a.attr - b.attr })
+		f.ops = buildDeformProgram(rel)
+		if rb.DataSections != nil {
+			f.combos = rb.DataSections.combos
 		}
-		checks = append(checks, fusedCheck{attr: attr, pred: p, cost: int64(terms) * evpTermCost})
+		// The fused bee replaces deform AND filter, so its benefit entry
+		// pairs the full-deform-plus-predicate bee cost (the no-abandon
+		// worst case) against the generic loop plus interpreted predicate.
+		beeCost := rb.gclCost[natts] + evpBaseCost
+		for _, ck := range f.checks {
+			beeCost += ck.cost
+		}
+		return compiled{
+			source:    "EVP " + name + " (fused into GCL)",
+			beeCost:   beeCost,
+			stockCost: genericDeformCost(rel, natts) + stockExprCost(e),
+		}, true
+	})
+	if f.Bee == nil {
+		return nil, false
 	}
-	slices.SortStableFunc(checks, func(a, b fusedCheck) int { return a.attr - b.attr })
+	return f, true
+}
 
-	ops := buildDeformProgram(rel)
-	var combos *comboTable
-	if rb.DataSections != nil {
-		combos = rb.DataSections.combos
-	}
-	gclCost := rb.gclCost
-	m.mu.Lock()
-	m.stats.QueryBees++
-	m.mu.Unlock()
-	m.cache.put(beeKey{kind: "query/EVP", name: name}, "EVP "+name+" (fused into GCL)")
-	// The fused bee replaces deform AND filter, so its benefit entry pairs
-	// the full-deform-plus-predicate bee cost (the no-abandon worst case)
-	// against the generic loop plus interpreted predicate.
-	var beeCost int64 = gclCost[natts] + evpBaseCost
-	for _, ck := range checks {
-		beeCost += ck.cost
-	}
-	m.usage.register(beeKey{kind: "query/EVP", name: name},
-		beeCost, genericDeformCost(rel, natts)+stockExprCost(e))
-	fn := func(tups [][]byte, out []expr.Row, natts int, sel []int32, prof *profile.Counters) []int32 {
-		m.maybePanic("query/EVP", name)
-		deformCost := int64(0)
-		evpCost := int64(len(tups)) * evpBaseCost
-		for i, tup := range tups {
-			data := tup[tuple.HOff(tup):]
-			beeID := tuple.BeeID(tup)
-			values := out[i]
-			s, off := 0, 0
-			pass := true
-			for _, ck := range checks {
-				if ck.attr >= s {
-					off = runDeformSegment(ops, data, beeID, combos, values, s, ck.attr+1, off)
-					s = ck.attr + 1
-				}
-				evpCost += ck.cost
-				if v := ck.pred(values); v.IsNull() || !v.Bool() {
-					pass = false
-					break
-				}
+// Filter is the composed scan-filter routine: it deforms the live tuples
+// of a page into out while evaluating the predicate, and appends the
+// ordinals of passing tuples to sel (rows of rejected ordinals are left
+// partially deformed — consumers must honour the selection vector).
+func (f *FusedScan) Filter(tups [][]byte, out []expr.Row, natts int, sel []int32, prof *profile.Counters) []int32 {
+	f.PanicPoint()
+	checks, ops, combos, gclCost := f.checks, f.ops, f.combos, f.gclCost
+	deformCost := int64(0)
+	evpCost := int64(len(tups)) * evpBaseCost
+	for i, tup := range tups {
+		data := tup[tuple.HOff(tup):]
+		beeID := tuple.BeeID(tup)
+		values := out[i]
+		s, off := 0, 0
+		pass := true
+		for _, ck := range checks {
+			if ck.attr >= s {
+				off = runDeformSegment(ops, data, beeID, combos, values, s, ck.attr+1, off)
+				s = ck.attr + 1
 			}
-			if pass {
-				runDeformSegment(ops, data, beeID, combos, values, s, natts, off)
-				s = natts
-				sel = append(sel, int32(i))
+			evpCost += ck.cost
+			if v := ck.pred(values); v.IsNull() || !v.Bool() {
+				pass = false
+				break
 			}
-			deformCost += gclCost[s]
 		}
-		prof.Add(profile.CompDeform, deformCost)
-		prof.Add(profile.CompExpr, evpCost)
-		return sel
+		if pass {
+			runDeformSegment(ops, data, beeID, combos, values, s, natts, off)
+			s = natts
+			sel = append(sel, int32(i))
+		}
+		deformCost += gclCost[s]
 	}
-	return fn, true
+	prof.Add(profile.CompDeform, deformCost)
+	prof.Add(profile.CompExpr, evpCost)
+	return sel
 }
 
 // flattenAnd appends e's conjuncts (nested ANDs flattened) to into.

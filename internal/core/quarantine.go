@@ -15,10 +15,12 @@ import (
 // cache's (kind, name) space and checked at compile time — the per-tuple
 // hot path pays nothing.
 //
-// Only query bees (EVP/EVA/EVJ) are quarantined: relation bees (GCL/SCL)
-// deform specialized storage that the generic routines cannot read, so
-// they have no fallback and a fault there is surfaced as an error
-// instead.
+// Query bees (EVP/EVA/EVJ) and transaction bees are quarantined; the
+// admission policy table (admit.go) says which kinds. Relation bees
+// (GCL/SCL) never are: they deform specialized storage that the generic
+// routines cannot read, so they have no fallback and a fault there is
+// surfaced as an error instead. IDX comparators are installed into
+// B+trees at DDL time, so no replan could route around them either.
 
 // quarantine tracks currently quarantined bees plus a cumulative count
 // for metrics. It has its own lock so compile paths never nest it with
@@ -147,11 +149,8 @@ func (m *Module) InjectBeePanic(kind, substr string) {
 // ClearBeePanic disarms the failpoint.
 func (m *Module) ClearBeePanic() { m.inject.armed.Store(false) }
 
-// maybePanic is called by compiled bee closures on each invocation.
-func (m *Module) maybePanic(kind, name string) {
-	if !m.inject.armed.Load() {
-		return
-	}
+// injectPanic panics if the armed failpoint matches the bee.
+func (m *Module) injectPanic(kind, name string) {
 	m.inject.mu.Lock()
 	k, s := m.inject.kind, m.inject.substr
 	m.inject.mu.Unlock()

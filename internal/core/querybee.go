@@ -35,7 +35,7 @@ func compilePred(e expr.Expr) (predFunc, int64) {
 }
 
 // Cost constants re-exported locally to avoid importing profile here and
-// in the hot closures (the wrapper in core.go charges once per call).
+// in the hot closures (the Pred forms in core.go charge once per call).
 const (
 	evpBaseCost = 13 // profile.EVPBase
 	evpTermCost = 7  // profile.EVPTerm
@@ -298,8 +298,6 @@ func compileNode(e expr.Expr) (predFunc, int) {
 		if kf == nil || sf == nil || pf == nil {
 			return nil, 0
 		}
-		sub := &expr.Substring{Kid: n.Kid, Start: n.Start, Span: n.Span}
-		_ = sub
 		return func(row expr.Row) types.Datum {
 			v := kf(row)
 			if v.IsNull() {
@@ -597,7 +595,7 @@ func compileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) *JoinKeyFuncs
 	// Single-key fast paths: the dominant TPC-H shape.
 	if len(oIdx) == 1 && byVal[0] {
 		o, i := oIdx[0], iIdx[0]
-		jk.Match = func(outer, inner expr.Row) bool {
+		jk.match = func(outer, inner expr.Row) bool {
 			a, b := outer[o], inner[i]
 			if a.IsNull() || b.IsNull() {
 				return false
@@ -606,7 +604,7 @@ func compileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) *JoinKeyFuncs
 		}
 		return jk
 	}
-	jk.Match = func(outer, inner expr.Row) bool {
+	jk.match = func(outer, inner expr.Row) bool {
 		for k := range oIdx {
 			a, b := outer[oIdx[k]], inner[iIdx[k]]
 			if a.IsNull() || b.IsNull() {

@@ -43,6 +43,8 @@ type RelationBee struct {
 	gclCost []int64
 	// sclCost is the abstract instruction cost of one SCL invocation.
 	sclCost int64
+	// bee is the relation bee's descriptor (see GCLBee).
+	bee *Bee
 }
 
 // makeRelationBee is the Bee Maker's relation-bee path: it assembles the

@@ -67,6 +67,9 @@ type TierInfo struct {
 	Rels      []string  `json:"rels,omitempty"`
 	Sticky    bool      `json:"sticky,omitempty"` // guard-break demotion (manifest-persisted)
 	Hold      int       `json:"hold,omitempty"`   // cycles left before demoted → candidate
+	// Usage is the bee's benefit attribution entry, nil for a bee never
+	// admitted (a candidate the gate kept on the stock path).
+	Usage *BeeUsage `json:"-"`
 }
 
 type tierEntry struct {
@@ -341,8 +344,15 @@ func (m *Module) TierOf(kind, name string) (TierState, bool) {
 	return m.tier.get(beeKey{kind: kind, name: name})
 }
 
-// TierSnapshot returns every tracked tier entry, hottest first.
-func (m *Module) TierSnapshot() []TierInfo { return m.tier.snapshot() }
+// TierSnapshot returns every tracked tier entry, hottest first, each
+// with its benefit attribution entry attached.
+func (m *Module) TierSnapshot() []TierInfo {
+	out := m.tier.snapshot()
+	for i := range out {
+		out[i].Usage = m.bees.usage(beeKey{kind: out[i].Kind, name: out[i].Name})
+	}
+	return out
+}
 
 // DemotedBees returns the sticky-demoted keys for the checkpoint
 // manifest, sorted for deterministic output.

@@ -12,9 +12,6 @@ package core
 // shell's \cache view, the admin /bees endpoint, and the panic
 // failpoint all cover them with no extra plumbing.
 
-// TxnBeeKind is the cache/quarantine kind string for transaction bees.
-const TxnBeeKind = "txn"
-
 // Per-operation abstract instruction costs used for transaction-bee
 // benefit attribution. The statement-at-a-time path pays, for every
 // point operation, a catalog/handle map lookup, a table latch
@@ -33,35 +30,20 @@ const (
 	TxnOpBeeCost = 6
 )
 
-// RegisterTxnBee records a compiled whole-transaction bee in the cache
-// and benefit tables and returns its usage handle. It reports ok=false
+// RegisterTxnBee admits a compiled whole-transaction bee into the cache
+// and benefit tables and returns its descriptor. It reports ok=false
 // without registering when the bee is quarantined — the caller must
 // stay on the statement-at-a-time path. Re-registering after a replan
-// keeps accumulated usage (usageTable.register semantics) and does not
-// double-count the bee.
-func (m *Module) RegisterTxnBee(name, source string, beeCost, stockCost int64) (*BeeUsage, bool) {
-	k := beeKey{kind: TxnBeeKind, name: name}
-	if m.quar.has(k) {
-		return nil, false
-	}
-	_, dup := m.cache.Get(TxnBeeKind, name)
-	if !dup {
-		m.mu.Lock()
-		m.stats.TxnBees++
-		m.mu.Unlock()
-	}
-	m.cache.put(k, source)
-	return m.usage.register(k, beeCost, stockCost), true
+// keeps accumulated usage and does not double-count the bee.
+func (m *Module) RegisterTxnBee(name, source string, beeCost, stockCost int64) (*Bee, bool) {
+	b := m.admit(KindTxn, name, "", func() (compiled, bool) {
+		return compiled{source: source, beeCost: beeCost, stockCost: stockCost}, true
+	})
+	return b, b != nil
 }
 
 // TxnBeeAllowed reports whether a transaction bee may run: false while
 // it is quarantined after a panic.
 func (m *Module) TxnBeeAllowed(name string) bool {
-	return !m.quar.has(beeKey{kind: TxnBeeKind, name: name})
+	return !m.quar.has(beeKey{kind: KindTxn, name: name})
 }
-
-// TxnBeePanicPoint is called by the fused execution path once per run;
-// it triggers the injected-panic failpoint (InjectBeePanic) so tests
-// and the chaos harness can exercise quarantine + fallback for
-// transaction bees exactly as for query bees.
-func (m *Module) TxnBeePanicPoint(name string) { m.maybePanic(TxnBeeKind, name) }

@@ -89,18 +89,18 @@ func (db *DB) advisorObservePlan(root exec.Node, sel *sql.Select, d time.Duratio
 		return
 	}
 	var compiled, gated []advisor.BeeObs
-	exec.WalkBees(root, func(r exec.BeeRef) {
-		compiled = append(compiled, advisor.BeeObs{Kind: r.Kind, Name: r.Name})
+	exec.WalkBees(root, func(b *core.Bee) {
+		compiled = append(compiled, advisor.BeeObs{Kind: b.Kind, Name: b.Name})
 	})
 	exec.WalkNodes(root, func(n exec.Node) {
 		switch v := n.(type) {
 		case *exec.Filter:
-			if v.Compiled == nil && v.Pred != nil {
-				gated = append(gated, advisor.BeeObs{Kind: "query/EVP", Name: v.Pred.String()})
+			if v.Bee == nil && v.Pred != nil {
+				gated = append(gated, advisor.BeeObs{Kind: core.KindEVP, Name: v.Pred.String()})
 			}
 		case *exec.BatchFilter:
-			if v.Compiled == nil && v.Pred != nil {
-				gated = append(gated, advisor.BeeObs{Kind: "query/EVP", Name: v.Pred.String()})
+			if v.Bee == nil && v.Pred != nil {
+				gated = append(gated, advisor.BeeObs{Kind: core.KindEVP, Name: v.Pred.String()})
 			}
 		}
 	})

@@ -13,7 +13,7 @@ import (
 func evpInCache(db *DB) int {
 	n := 0
 	for _, e := range db.Module().CacheEntries() {
-		if e.Kind == "query/EVP" && e.Bytes > 0 {
+		if e.Kind == core.KindEVP && e.Bytes > 0 {
 			n++
 		}
 	}
@@ -101,7 +101,7 @@ func TestAdvisorQuarantineDemotesExactlyOnce(t *testing.T) {
 	name := heatAndPromote(t, db, q)
 	mustQuery(t, db, q) // compiles the promoted bee
 
-	db.Module().InjectBeePanic("query/EVP", "")
+	db.Module().InjectBeePanic(core.KindEVP, "")
 	res := mustQuery(t, db, q) // panics, quarantines, retries on stock
 	db.Module().ClearBeePanic()
 	if len(res.Rows) != len(baseline.Rows) {
@@ -109,7 +109,7 @@ func TestAdvisorQuarantineDemotesExactlyOnce(t *testing.T) {
 	}
 
 	adv.RunCycle()
-	if st, _ := db.Module().TierOf("query/EVP", name); st != core.TierDemoted {
+	if st, _ := db.Module().TierOf(core.KindEVP, name); st != core.TierDemoted {
 		t.Fatalf("state after quarantine cycle = %v, want demoted", st)
 	}
 	once := advisorCounter(db, "advisor.demotions")
@@ -154,14 +154,14 @@ func TestAdvisorDDLDemotesExactlyOnce(t *testing.T) {
 	adv.SetEnabled(true)
 
 	name := heatAndPromote(t, db, "select w_id from watched where w_val > 30 order by w_id")
-	ti, _ := db.Module().TierOf("query/EVP", name)
+	ti, _ := db.Module().TierOf(core.KindEVP, name)
 	if ti != core.TierCompiled {
 		t.Fatalf("state = %v, want compiled", ti)
 	}
 
 	mustExec(t, db, "drop table watched")
 	adv.RunCycle()
-	if st, _ := db.Module().TierOf("query/EVP", name); st != core.TierDemoted {
+	if st, _ := db.Module().TierOf(core.KindEVP, name); st != core.TierDemoted {
 		t.Fatalf("state after DDL cycle = %v, want demoted", st)
 	}
 	once := advisorCounter(db, "advisor.demotions")
@@ -293,9 +293,9 @@ func TestRecoveryHonorsDemotedBees(t *testing.T) {
 	name := heatAndPromote(t, db, q)
 	mustQuery(t, db, q) // compiles the promoted bee
 
-	db.Module().Quarantine("query/EVP", name)
+	db.Module().Quarantine(core.KindEVP, name)
 	adv.RunCycle() // sticky demotion
-	if st, _ := db.Module().TierOf("query/EVP", name); st != core.TierDemoted {
+	if st, _ := db.Module().TierOf(core.KindEVP, name); st != core.TierDemoted {
 		t.Fatalf("state = %v, want demoted before crash", st)
 	}
 	if err := db.Checkpoint(); err != nil {
@@ -306,7 +306,7 @@ func TestRecoveryHonorsDemotedBees(t *testing.T) {
 	if got := rdb.RecoveryStats().DemotedBees; got < 1 {
 		t.Fatalf("RecoveryStats.DemotedBees = %d, want >= 1", got)
 	}
-	if st, ok := rdb.Module().TierOf("query/EVP", name); !ok || st != core.TierDemoted {
+	if st, ok := rdb.Module().TierOf(core.KindEVP, name); !ok || st != core.TierDemoted {
 		t.Fatalf("recovered state = %v (known=%v), want demoted", st, ok)
 	}
 	// The prepared replay already ran; the denylisted bee must not be

@@ -391,11 +391,10 @@ func (db *DB) ExplainAnalyzeQueryContext(ctx context.Context, text string) (stri
 // Execution runs inside a panic-containment boundary. When a plan
 // panics, the recovered error quarantines every query bee the plan used
 // (the boundary cannot attribute the fault more precisely) and the query
-// transparently re-runs once: the replan's CompilePredicate/CompileScalar/
-// CompileJoinKeys calls find the bees quarantined and fall back to the
-// generic routines — the paper's bee-unavailable path, enforced at
-// runtime. The retry happens only when at least one bee was newly
-// quarantined, so a second panic cannot loop.
+// transparently re-runs once: the replan's bee admissions find the bees
+// quarantined and fall back to the generic routines — the paper's
+// bee-unavailable path, enforced at runtime. The retry happens only when
+// at least one bee was newly quarantined, so a second panic cannot loop.
 func (db *DB) runSelect(qctx context.Context, text string, prof *profile.Counters, analyze bool, opts *QueryOpts) (*Result, exec.Node, error) {
 	if db.recovering.Load() {
 		return nil, nil, ErrRecovering
@@ -447,10 +446,9 @@ func (db *DB) runSelect(qctx context.Context, text string, prof *profile.Counter
 	var rows []expr.Row
 	for attempt := 0; ; attempt++ {
 		planSpan := at.Span("plan")
-		var hits0, writes0 int64
+		var fresh0, again0 int64
 		if at != nil {
-			cs := db.mod.Cache().Stats()
-			hits0, writes0 = cs.Hits, cs.Writes
+			fresh0, again0 = db.mod.Admissions()
 		}
 		planned, err = pl.PlanSelect(sel)
 		if err != nil {
@@ -458,9 +456,10 @@ func (db *DB) runSelect(qctx context.Context, text string, prof *profile.Counter
 			return nil, nil, err
 		}
 		if at != nil {
-			// Bee compile vs. cache-hit attribution for this plan.
-			cs := db.mod.Cache().Stats()
-			planSpan.Note("bees compiled=%d cache_hits=%d", cs.Writes-writes0, cs.Hits-hits0)
+			// Bee attribution for this plan: bees admitted for the first
+			// time vs. admissions of bees an earlier plan already built.
+			fresh, again := db.mod.Admissions()
+			planSpan.Note("bees new=%d readmitted=%d", fresh-fresh0, again-again0)
 		}
 		planSpan.End()
 		root = planned.Root
@@ -542,7 +541,7 @@ func closeQuiet(ctx *exec.Ctx, root exec.Node) {
 // service and reports how many were newly quarantined.
 func (db *DB) quarantinePlanBees(root exec.Node) int {
 	n := 0
-	exec.WalkBees(root, func(b exec.BeeRef) {
+	exec.WalkBees(root, func(b *core.Bee) {
 		if db.mod.Quarantine(b.Kind, b.Name) {
 			n++
 		}

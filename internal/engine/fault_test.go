@@ -106,7 +106,7 @@ func TestQuarantineFallbackSerial(t *testing.T) {
 	// Arm the failpoint: every EVP bee invocation panics. The engine must
 	// contain the panic, quarantine the plan's bees, and transparently
 	// re-run on the generic path with identical results.
-	db.Module().InjectBeePanic("query/EVP", "")
+	db.Module().InjectBeePanic(core.KindEVP, "")
 	defer db.Module().ClearBeePanic()
 	res, err := db.Query(q)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestQuarantineFallbackParallelWorkerPanic(t *testing.T) {
 
 	// The panic fires on Gather worker goroutines; the worker recover must
 	// contain it (a bare goroutine panic would kill the process).
-	db.Module().InjectBeePanic("query/EVP", "")
+	db.Module().InjectBeePanic(core.KindEVP, "")
 	defer db.Module().ClearBeePanic()
 	res, err := db.Query(q)
 	if err != nil {

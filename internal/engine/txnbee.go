@@ -88,7 +88,7 @@ type txnIndex struct {
 type CompiledTxn struct {
 	db    *DB
 	spec  TxnSpec
-	usage *core.BeeUsage
+	bee   *core.Bee
 	execs atomic.Int64
 	mu    sync.Mutex // serializes replans; Run reads res lock-free
 	res   atomic.Pointer[txnResolved]
@@ -106,24 +106,24 @@ func (db *DB) CompileTxn(spec TxnSpec) (*CompiledTxn, error) {
 	}
 	ct := &CompiledTxn{db: db, spec: spec}
 	ct.res.Store(res)
-	if err := ct.register(res); err != nil {
+	if ct.bee, err = ct.register(res); err != nil {
 		return nil, err
 	}
 	return ct, nil
 }
 
-// register (re-)records the bee in the module's cache and usage tables.
-// The per-operation cost pair is scaled by nothing: usage is reported in
-// operations, so the benefit estimate is observed time × the per-op
-// stock/bee overhead ratio.
-func (ct *CompiledTxn) register(res *txnResolved) error {
-	usage, ok := ct.db.mod.RegisterTxnBee(ct.spec.Name, txnBeeSource(ct.spec, res),
+// register (re-)admits the bee into the module's cache and benefit
+// tables. The descriptor is one per name, so a replan's re-admission
+// returns the bee CompileTxn stored. The per-operation cost pair is
+// scaled by nothing: usage is reported in operations, so the benefit
+// estimate is observed time × the per-op stock/bee overhead ratio.
+func (ct *CompiledTxn) register(res *txnResolved) (*core.Bee, error) {
+	bee, ok := ct.db.mod.RegisterTxnBee(ct.spec.Name, txnBeeSource(ct.spec, res),
 		core.TxnOpBeeCost, core.TxnOpStockCost)
 	if !ok {
-		return fmt.Errorf("%w: %s is quarantined", ErrTxnBeeUnavailable, ct.spec.Name)
+		return nil, fmt.Errorf("%w: %s is quarantined", ErrTxnBeeUnavailable, ct.spec.Name)
 	}
-	ct.usage = usage
-	return nil
+	return bee, nil
 }
 
 // txnBeeSource renders the fused unit's "object code" for the bee
@@ -237,7 +237,7 @@ func (ct *CompiledTxn) current() (*txnResolved, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ct.register(fresh); err != nil {
+	if _, err := ct.register(fresh); err != nil {
 		return nil, err
 	}
 	ct.res.Store(fresh)
@@ -288,7 +288,7 @@ func (ct *CompiledTxn) Run(prof *profile.Counters, body func(ft *FastTxn) error)
 	snap := db.tm.Snapshot(xid)
 	ft := &FastTxn{db: db, prof: prof, id: xid, snap: snap, res: res}
 	start := time.Now()
-	err = runTxnBody(db.mod, ct.spec.Name, ft, body)
+	err = runTxnBody(ct.bee, ft, body)
 	if err != nil {
 		// Roll back: latches are still held, so the undos replay directly.
 		for i := len(ft.undo) - 1; i >= 0; i-- {
@@ -307,7 +307,7 @@ func (ct *CompiledTxn) Run(prof *profile.Counters, body func(ft *FastTxn) error)
 		}
 		var pe *exec.PanicError
 		if errors.As(err, &pe) {
-			db.mod.Quarantine(core.TxnBeeKind, ct.spec.Name)
+			db.mod.Quarantine(core.KindTxn, ct.spec.Name)
 		}
 		return err
 	}
@@ -336,20 +336,20 @@ func (ct *CompiledTxn) Run(prof *profile.Counters, body func(ft *FastTxn) error)
 	db.mu.RUnlock()
 	ct.execs.Add(1)
 	db.obs.txnBeeExecs.Inc()
-	ct.usage.Note(ft.ops, time.Since(start).Nanoseconds())
+	ct.bee.Usage.Note(ft.ops, time.Since(start).Nanoseconds())
 	return db.waitDurable(lsn)
 }
 
 // runTxnBody runs the fused body behind a panic boundary: a panic
 // (including the injected-failpoint kind) converts to *exec.PanicError
 // so Run can quarantine the bee and the caller can fall back.
-func runTxnBody(mod *core.Module, name string, ft *FastTxn, body func(ft *FastTxn) error) (err error) {
+func runTxnBody(bee *core.Bee, ft *FastTxn, body func(ft *FastTxn) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = exec.NewPanicError(r)
 		}
 	}()
-	mod.TxnBeePanicPoint(name)
+	bee.PanicPoint()
 	return body(ft)
 }
 

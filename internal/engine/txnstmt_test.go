@@ -36,7 +36,7 @@ func TestPrepareTxnParsesAndRegisters(t *testing.T) {
 	// form is the rendered latch/index plan, so it has nonzero size.
 	found := false
 	for _, e := range db.Module().CacheEntries() {
-		if e.Kind == core.TxnBeeKind && e.Name == "give_raise" {
+		if e.Kind == core.KindTxn && e.Name == "give_raise" {
 			found = true
 			if e.Bytes == 0 || e.Quarantined {
 				t.Errorf("entry = %+v", e)
@@ -138,7 +138,7 @@ func TestExecTxnPanicFallsBackSameResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ts.Close()
-	db.Module().InjectBeePanic(core.TxnBeeKind, "give_raise")
+	db.Module().InjectBeePanic(core.KindTxn, "give_raise")
 	res, affected, err := ts.ExecTxn(types.NewInt64(9), types.NewFloat64(100))
 	if err != nil {
 		t.Fatalf("fallback run: %v", err)

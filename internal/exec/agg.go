@@ -34,16 +34,22 @@ type AggSpec struct {
 	Arg      expr.Expr // nil for COUNT(*)
 	Distinct bool
 	Name     string
-	// CompiledArg is the EVA bee routine for Arg, when the bee module
-	// compiled it: the aggregate's per-tuple input evaluated without a
-	// tree walk.
-	CompiledArg core.CompiledPred
-	// CompiledBatchArg is CompiledArg's batch form: one invocation
-	// evaluates Arg for every live row of a batch (batch path only).
-	CompiledBatchArg core.CompiledBatchScalar
-	// Usage, when set, receives the EVA bee's row count and observed wall
-	// time per drained batch (per-bee benefit attribution).
-	Usage *core.BeeUsage
+	// Bee is the EVA bee for Arg, when the bee module compiled it: the
+	// aggregate's input evaluated without a tree walk, per tuple or per
+	// batch. Its descriptor receives the row count and observed wall time
+	// per drained batch (per-bee benefit attribution).
+	Bee *core.Pred
+}
+
+// noteEVA reports n EVA invocations through the first compiled spec's
+// descriptor: every EVA bee shares the routine-class call counter.
+func noteEVA(specs []AggSpec, n int64) {
+	for i := range specs {
+		if specs[i].Bee != nil {
+			specs[i].Bee.NoteCalls(n)
+			return
+		}
+	}
 }
 
 // ResultType reports the aggregate's output type.
@@ -175,8 +181,6 @@ type HashAgg struct {
 	Child   Node
 	GroupBy []expr.Expr
 	Aggs    []AggSpec
-	// NoteEVA, when set, receives the number of EVA invocations at Close.
-	NoteEVA func(int64)
 
 	evaCalls int64
 
@@ -252,9 +256,9 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 			spec := &a.Aggs[i]
 			var v types.Datum
 			switch {
-			case spec.CompiledArg != nil:
+			case spec.Bee != nil:
 				a.evaCalls++
-				v = spec.CompiledArg(row, &ctx.Expr)
+				v = spec.Bee.Eval(row, &ctx.Expr)
 			case spec.Arg != nil:
 				v = spec.Arg.Eval(row, &ctx.Expr)
 			}
@@ -297,10 +301,8 @@ func (a *HashAgg) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (a *HashAgg) Close(*Ctx) {
-	if a.NoteEVA != nil && a.evaCalls > 0 {
-		a.NoteEVA(a.evaCalls)
-		a.evaCalls = 0
-	}
+	noteEVA(a.Aggs, a.evaCalls)
+	a.evaCalls = 0
 	a.table = nil
 }
 

@@ -116,23 +116,20 @@ type BatchSeqScan struct {
 	Heap   *heap.Heap
 	Deform core.BatchDeformFunc
 	NAtts  int
-	// NoteDeforms receives the deform (GCL) call count at Close.
-	NoteDeforms func(int64)
+	// GCL is the relation bee's descriptor when Deform is the GCL
+	// routine: it receives the deform call count, and (when the bee has a
+	// usage entry) rows and observed wall time, at Close.
+	GCL *core.Bee
 	// Fused, when set, replaces the separate Deform + BatchFilter pair with
-	// the composed GCL∘EVP routine: each tuple is deformed only as far as
-	// the predicate's conjuncts need, rejected tuples are abandoned early,
-	// and the scan emits batches whose selection vector lists the passing
-	// rows. FusedPred is the predicate the routine implements (EXPLAIN and
-	// bee walking); NoteFused receives its row-evaluation count at Close.
-	Fused     core.FusedScanFilterFunc
+	// the composed GCL∘EVP bee: each tuple is deformed only as far as the
+	// predicate's conjuncts need, rejected tuples are abandoned early, and
+	// the scan emits batches whose selection vector lists the passing
+	// rows. FusedPred is the predicate the bee implements (EXPLAIN and
+	// subquery walking). The bee's descriptor receives its row-evaluation
+	// count, rows, and observed wall time at Close. Timing costs two clock
+	// reads per page and only when a usage entry exists.
+	Fused     *core.FusedScan
 	FusedPred expr.Expr
-	NoteFused func(int64)
-	// DeformUsage and FusedUsage, when set, receive the rows processed and
-	// observed wall time of the deform / fused bee invocations at Close —
-	// the per-bee benefit attribution feed. Timing costs two clock reads
-	// per page and only when the handle is wired.
-	DeformUsage *core.BeeUsage
-	FusedUsage  *core.BeeUsage
 	// Range and Partial mirror SeqScan: a page interval for one partition
 	// of a parallel scan.
 	Range   heap.PageRange
@@ -221,20 +218,16 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		s.rowsOut += int64(len(tups))
 		if s.Fused != nil {
 			s.fused += int64(len(tups))
-			if s.FusedUsage != nil {
-				t0 := time.Now()
-				s.sel = s.Fused(tups, s.rows, s.NAtts, s.sel[:0], ctx.Prof())
-				s.fusedNs += int64(time.Since(t0))
-			} else {
-				s.sel = s.Fused(tups, s.rows, s.NAtts, s.sel[:0], ctx.Prof())
-			}
+			t0 := time.Now()
+			s.sel = s.Fused.Filter(tups, s.rows, s.NAtts, s.sel[:0], ctx.Prof())
+			s.fusedNs += int64(time.Since(t0))
 			if len(s.sel) == 0 {
 				continue
 			}
 			s.batch = Batch{Rows: s.rows, N: len(tups), Sel: s.sel}
 			return &s.batch, true, nil
 		}
-		if s.DeformUsage != nil {
+		if s.GCL != nil && s.GCL.Usage != nil {
 			t0 := time.Now()
 			s.Deform(tups, s.rows, s.NAtts, ctx.Prof())
 			s.deformNs += int64(time.Since(t0))
@@ -253,17 +246,13 @@ func (s *BatchSeqScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (s *BatchSeqScan) Close(*Ctx) {
-	if s.FusedUsage != nil {
-		s.FusedUsage.Note(s.fused, s.fusedNs)
-	} else {
-		s.DeformUsage.Note(s.deforms, s.deformNs)
+	if s.Fused != nil {
+		s.Fused.Usage.Note(s.fused, s.fusedNs)
+		s.Fused.NoteCalls(s.fused)
+	} else if s.GCL != nil {
+		s.GCL.Usage.Note(s.deforms, s.deformNs)
 	}
-	if s.NoteDeforms != nil && s.deforms > 0 {
-		s.NoteDeforms(s.deforms)
-	}
-	if s.NoteFused != nil && s.fused > 0 {
-		s.NoteFused(s.fused)
-	}
+	s.GCL.NoteCalls(s.deforms)
 	s.deforms, s.fused, s.deformNs, s.fusedNs = 0, 0, 0, 0
 	if s.scanner != nil {
 		s.scanner.Close()
@@ -279,19 +268,14 @@ func (s *BatchSeqScan) Schema() []ColInfo { return s.cols }
 func (s *BatchSeqScan) BatchStats() (batches, rows int64) { return s.batches, s.rowsOut }
 
 // BatchFilter narrows a batch's selection vector to the rows satisfying
-// the predicate: the batch-EVP bee form when compiled, otherwise the
+// the predicate: the EVP bee's batch form when compiled, otherwise the
 // generic interpreter per row. Batches that filter down to zero rows are
-// skipped, so consumers never see an empty batch.
+// skipped, so consumers never see an empty batch. The bee's descriptor
+// receives the row-evaluation count and observed wall time at Close.
 type BatchFilter struct {
-	Child    BatchNode
-	Pred     expr.Expr
-	Compiled core.CompiledBatchPred
-	// NoteCalls receives the number of compiled (EVP) row evaluations at
-	// Close, like Filter.NoteCalls.
-	NoteCalls func(int64)
-	// Usage, when set, receives the compiled predicate's row count and
-	// observed wall time at Close (per-bee benefit attribution).
-	Usage *core.BeeUsage
+	Child BatchNode
+	Pred  expr.Expr
+	Bee   *core.Pred
 
 	calls int64
 	beeNs int64
@@ -314,15 +298,11 @@ func (f *BatchFilter) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		}
 		ctx.Prof().Add(profile.CompExec, profile.ExecNodeBatch)
 		out := f.sel[:0]
-		if f.Compiled != nil {
+		if f.Bee != nil {
 			f.calls += int64(b.Count())
-			if f.Usage != nil {
-				t0 := time.Now()
-				out = f.Compiled(b.Rows[:b.N], b.Sel, out, &ctx.Expr)
-				f.beeNs += int64(time.Since(t0))
-			} else {
-				out = f.Compiled(b.Rows[:b.N], b.Sel, out, &ctx.Expr)
-			}
+			t0 := time.Now()
+			out = f.Bee.Select(b.Rows[:b.N], b.Sel, out, &ctx.Expr)
+			f.beeNs += int64(time.Since(t0))
 		} else if b.Sel != nil {
 			for _, i := range b.Sel {
 				if v := f.Pred.Eval(b.Rows[i], &ctx.Expr); !v.IsNull() && v.Bool() {
@@ -352,9 +332,9 @@ func (f *BatchFilter) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (f *BatchFilter) Close(ctx *Ctx) {
-	f.Usage.Note(f.calls, f.beeNs)
-	if f.NoteCalls != nil && f.calls > 0 {
-		f.NoteCalls(f.calls)
+	if f.Bee != nil {
+		f.Bee.Usage.Note(f.calls, f.beeNs)
+		f.Bee.NoteCalls(f.calls)
 	}
 	f.calls, f.beeNs = 0, 0
 	f.Child.Close(ctx)
@@ -394,7 +374,7 @@ func (r *Rebatch) Schema() []ColInfo { return r.Child.Schema() }
 
 // drainBatchesIntoAgg consumes src's batches into an aggregation table —
 // the shared inner loop of BatchHashAgg and Gather's batch-aware partial
-// aggregation. evalSpecs supplies the evaluation closures (a partition
+// aggregation. evalSpecs supplies the evaluation bees (a partition
 // worker passes its private EVA bees); addSpecs the accumulation specs.
 // Group first-appearance order equals the tuple path's: batches cover the
 // heap in page order and rows within a batch stay in slot order.
@@ -405,8 +385,8 @@ func (r *Rebatch) Schema() []ColInfo { return r.Child.Schema() }
 //     row otherwise, in row order (preserving the tuple path's group
 //     first-appearance order). A row whose key equals the previous row's
 //     reuses its group without re-probing the table.
-//  2. Argument evaluation — per spec, the batch-EVA bee (or the per-row
-//     closure/interpreter) fills a reusable value column.
+//  2. Argument evaluation — per spec, the EVA bee's batch form (or the
+//     per-row interpreter) fills a reusable value column.
 //  3. Transition — per spec, a tight loop folds the value column into the
 //     group states, with the spec checks (NULL skip, DISTINCT, kind)
 //     hoisted out of the per-row switch for the count/sum/avg shapes.
@@ -475,21 +455,11 @@ func drainBatchesIntoAgg(ctx *Ctx, src BatchNode, groupBy []expr.Expr, evalSpecs
 				vbuf = make([]types.Datum, growBatchScratch(len(vbuf), n))
 			}
 			switch {
-			case spec.CompiledBatchArg != nil:
+			case spec.Bee != nil:
 				eva += int64(n)
-				if spec.Usage != nil {
-					t0 := time.Now()
-					vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vbuf[:0], &ctx.Expr)
-					spec.Usage.Note(int64(n), int64(time.Since(t0)))
-				} else {
-					vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vbuf[:0], &ctx.Expr)
-				}
-			case spec.CompiledArg != nil:
-				eva += int64(n)
-				vals = vbuf[:n]
-				for bi := 0; bi < n; bi++ {
-					vals[bi] = spec.CompiledArg(b.RowAt(bi), &ctx.Expr)
-				}
+				t0 := time.Now()
+				vals = spec.Bee.EvalBatch(b.Rows[:b.N], b.Sel, vbuf[:0], &ctx.Expr)
+				spec.Bee.Usage.Note(int64(n), int64(time.Since(t0)))
 			case spec.Arg != nil:
 				vals = vbuf[:n]
 				for bi := 0; bi < n; bi++ {
@@ -540,8 +510,6 @@ type BatchHashAgg struct {
 	Child   BatchNode
 	GroupBy []expr.Expr
 	Aggs    []AggSpec
-	// NoteEVA receives the number of EVA invocations at Close.
-	NoteEVA func(int64)
 
 	evaCalls int64
 	table    *aggTable
@@ -590,10 +558,8 @@ func (a *BatchHashAgg) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (a *BatchHashAgg) Close(*Ctx) {
-	if a.NoteEVA != nil && a.evaCalls > 0 {
-		a.NoteEVA(a.evaCalls)
-		a.evaCalls = 0
-	}
+	noteEVA(a.Aggs, a.evaCalls)
+	a.evaCalls = 0
 	a.table = nil
 }
 

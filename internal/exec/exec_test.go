@@ -58,7 +58,7 @@ func TestFilterInterpretedAndCompiled(t *testing.T) {
 	if !ok {
 		t.Fatal("compile failed")
 	}
-	rows2 := mustCollect(t, &Filter{Child: src(), Pred: pred, Compiled: cp})
+	rows2 := mustCollect(t, &Filter{Child: src(), Pred: pred, Bee: cp})
 	if len(rows2) != 2 || rows2[1][0].Int32() != 9 {
 		t.Fatalf("compiled filter: %v", rows2)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime/debug"
 
+	"microspec/internal/core"
 	"microspec/internal/expr"
 )
 
@@ -24,35 +25,32 @@ func NewPanicError(val any) *PanicError {
 // Error implements error.
 func (e *PanicError) Error() string { return fmt.Sprintf("query panic: %v", e.Val) }
 
-// BeeRef names one query bee a plan uses, as (kind, name) matching the
-// bee cache's key space: "query/EVP", "query/EVA", or "query/EVJ" plus
-// the expression (or key-list) string the bee was compiled from.
-type BeeRef struct {
-	Kind string
-	Name string
-}
-
-// WalkBees reports every query bee wired into a plan tree (EVP filter
-// and join-residual predicates, EVA aggregate inputs, EVJ join keys),
-// unwrapping Instrumented decorators like WalkGathers. Relation bees
-// (GCL/SCL) are deliberately excluded: specialized storage has no
-// generic deform fallback, so they are not quarantine candidates.
+// WalkBees reports the descriptor of every query bee wired into a plan
+// tree (EVP filter and join predicates, fused scan filters, EVA
+// aggregate inputs, EVJ join keys), unwrapping Instrumented decorators
+// like WalkGathers. Relation bees (GCL/SCL) are deliberately excluded:
+// specialized storage has no generic deform fallback, so they are not
+// quarantine candidates.
 //
 // The engine uses the result to quarantine a panicking plan's bees: the
 // panic's recover boundary cannot attribute the fault to one closure, so
-// the policy is to quarantine all of them (see DESIGN.md §9).
-func WalkBees(n Node, fn func(BeeRef)) {
+// the policy is to quarantine all of them (see DESIGN.md §9). The
+// advisor's demand feed reads the same descriptors.
+func WalkBees(n Node, fn func(*core.Bee)) {
 	switch in := n.(type) {
 	case *Instrumented:
 		n = in.Inner
 	case *InstrumentedBatch:
 		n = in.Inner
 	}
+	pred := func(p *core.Pred) {
+		if p != nil {
+			fn(p.Bee)
+		}
+	}
 	aggRefs := func(specs []AggSpec) {
 		for i := range specs {
-			if specs[i].CompiledArg != nil && specs[i].Arg != nil {
-				fn(BeeRef{Kind: "query/EVA", Name: specs[i].Arg.String()})
-			}
+			pred(specs[i].Bee)
 			walkExprBees(specs[i].Arg, fn)
 		}
 	}
@@ -60,30 +58,24 @@ func WalkBees(n Node, fn func(BeeRef)) {
 	case *SeqScan, *IndexScan, *ValuesNode:
 		// Leaves; GCL excluded by policy.
 	case *BatchSeqScan:
-		// A fused scan-filter carries the predicate's EVP bee (same cache
-		// key as the standalone forms), so quarantining it disables all
-		// three; the GCL half is excluded by the policy above.
-		if v.Fused != nil && v.FusedPred != nil {
-			fn(BeeRef{Kind: "query/EVP", Name: v.FusedPred.String()})
+		// A fused scan-filter carries the predicate's EVP descriptor, so
+		// quarantining it disables every form; the GCL half is excluded
+		// by the policy above.
+		if v.Fused != nil {
+			fn(v.Fused.Bee)
 			walkExprBees(v.FusedPred, fn)
 		}
 	case *Rebatch:
 		WalkBees(v.Child, fn)
 	case *BatchFilter:
-		// The batch EVP form shares the tuple form's cache key, so
-		// quarantining it disables both.
-		if v.Compiled != nil && v.Pred != nil {
-			fn(BeeRef{Kind: "query/EVP", Name: v.Pred.String()})
-		}
+		pred(v.Bee)
 		walkExprBees(v.Pred, fn)
 		WalkBees(v.Child, fn)
 	case *BatchHashAgg:
 		aggRefs(v.Aggs)
 		WalkBees(v.Child, fn)
 	case *Filter:
-		if v.Compiled != nil && v.Pred != nil {
-			fn(BeeRef{Kind: "query/EVP", Name: v.Pred.String()})
-		}
+		pred(v.Bee)
 		walkExprBees(v.Pred, fn)
 		WalkBees(v.Child, fn)
 	case *Project:
@@ -104,18 +96,14 @@ func WalkBees(n Node, fn func(BeeRef)) {
 		WalkBees(v.Child, fn)
 	case *HashJoin:
 		if v.EVJ != nil {
-			fn(BeeRef{Kind: "query/EVJ", Name: fmt.Sprintf("keys%v", v.OuterKeys)})
+			fn(v.EVJ.Bee)
 		}
-		if v.ResidualCompiled != nil && v.Residual != nil {
-			fn(BeeRef{Kind: "query/EVP", Name: v.Residual.String()})
-		}
+		pred(v.ResidualBee)
 		walkExprBees(v.Residual, fn)
 		WalkBees(v.Outer, fn)
 		WalkBees(v.Inner, fn)
 	case *NLJoin:
-		if v.QualCompiled != nil && v.Qual != nil {
-			fn(BeeRef{Kind: "query/EVP", Name: v.Qual.String()})
-		}
+		pred(v.QualBee)
 		walkExprBees(v.Qual, fn)
 		WalkBees(v.Outer, fn)
 		WalkBees(v.Inner, fn)
@@ -134,7 +122,7 @@ func WalkBees(n Node, fn func(BeeRef)) {
 // walks their subplans: a bee panic inside a subquery unwinds through the
 // outer plan's recover boundary, so the subplan's bees are quarantine
 // candidates exactly like the outer plan's.
-func walkExprBees(e expr.Expr, fn func(BeeRef)) {
+func walkExprBees(e expr.Expr, fn func(*core.Bee)) {
 	switch n := e.(type) {
 	case nil:
 	case *ScalarSubquery:

@@ -8,17 +8,15 @@ import (
 )
 
 // Filter passes through rows satisfying the predicate. When the bee
-// module compiled the predicate, Compiled is the EVP bee routine and Pred
-// is kept only for display; otherwise Pred is evaluated by the generic
-// interpreter (the FuncExprState path).
+// module compiled the predicate, Bee is the EVP bee and Pred is kept
+// only for display; otherwise Pred is evaluated by the generic
+// interpreter (the FuncExprState path). Bee invocations are counted
+// locally and reported at Close, so the per-tuple path never
+// synchronizes.
 type Filter struct {
-	Child    Node
-	Pred     expr.Expr
-	Compiled core.CompiledPred
-	// NoteCalls, when set, receives the number of compiled-predicate
-	// (EVP) invocations at Close — the module's bee-call statistics
-	// without per-tuple synchronization.
-	NoteCalls func(int64)
+	Child Node
+	Pred  expr.Expr
+	Bee   *core.Pred
 
 	calls int64
 }
@@ -42,19 +40,19 @@ func (f *Filter) Next(ctx *Ctx) (expr.Row, bool, error) {
 }
 
 func (f *Filter) eval(row expr.Row, ctx *Ctx) types.Datum {
-	if f.Compiled != nil {
+	if f.Bee != nil {
 		f.calls++
-		return f.Compiled(row, &ctx.Expr)
+		return f.Bee.Eval(row, &ctx.Expr)
 	}
 	return f.Pred.Eval(row, &ctx.Expr)
 }
 
 // Close implements Node.
 func (f *Filter) Close(ctx *Ctx) {
-	if f.NoteCalls != nil && f.calls > 0 {
-		f.NoteCalls(f.calls)
-		f.calls = 0
+	if f.Bee != nil {
+		f.Bee.NoteCalls(f.calls)
 	}
+	f.calls = 0
 	f.Child.Close(ctx)
 }
 

@@ -41,13 +41,11 @@ type Gather struct {
 
 	// GroupBy and Aggs select aggregation mode; they mirror the HashAgg
 	// fields the Gather replaces. PartAggs carries per-partition AggSpec
-	// copies whose CompiledArg closures (EVA bees) are private to one
-	// worker; entry i may be nil to share Aggs.
+	// copies whose EVA bees are private to one worker; entry i may be nil
+	// to share Aggs. The pooled EVA invocation count is reported at Close.
 	GroupBy  []expr.Expr
 	Aggs     []AggSpec
 	PartAggs [][]AggSpec
-	// NoteEVA receives the pooled EVA invocation count at Close.
-	NoteEVA func(int64)
 
 	// MergeKeys selects sorted-run merge mode: every part emits rows
 	// sorted by these keys (the planner roots each part in a Sort, whose
@@ -272,9 +270,9 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 				spec := &specs[i]
 				var v types.Datum
 				switch {
-				case spec.CompiledArg != nil:
+				case spec.Bee != nil:
 					eva++
-					v = spec.CompiledArg(row, &wctx.Expr)
+					v = spec.Bee.Eval(row, &wctx.Expr)
 				case spec.Arg != nil:
 					v = spec.Arg.Eval(row, &wctx.Expr)
 				}
@@ -536,10 +534,8 @@ func (g *Gather) Close(ctx *Ctx) {
 		if g.mergeMode() {
 			g.closeParts(ctx)
 		}
-		if g.NoteEVA != nil && g.evaCalls > 0 {
-			g.NoteEVA(g.evaCalls)
-			g.evaCalls = 0
-		}
+		noteEVA(g.Aggs, g.evaCalls)
+		g.evaCalls = 0
 	})
 }
 

@@ -45,14 +45,13 @@ type HashJoin struct {
 	// Residual is an optional extra qual evaluated over the combined row
 	// (inner and left joins only).
 	Residual expr.Expr
-	// ResidualCompiled is the EVP form of Residual, if compiled.
-	ResidualCompiled core.CompiledPred
+	// ResidualBee is the EVP bee for Residual, if compiled.
+	ResidualBee *core.Pred
 	// EVJ is the specialized key-evaluation bee, nil for the generic path.
 	EVJ *core.JoinKeyFuncs
-	// NoteEVJ, when set, receives the number of EVJ invocations at Close.
-	NoteEVJ func(int64)
 
 	evjCalls int64
+	resCalls int64
 
 	table    map[uint64][]expr.Row
 	innerW   int
@@ -160,12 +159,13 @@ func (h *HashJoin) keysMatch(outer, inner expr.Row, ctx *Ctx) bool {
 }
 
 func (h *HashJoin) residualOK(combined expr.Row, ctx *Ctx) bool {
-	if h.Residual == nil && h.ResidualCompiled == nil {
+	if h.Residual == nil {
 		return true
 	}
 	var v types.Datum
-	if h.ResidualCompiled != nil {
-		v = h.ResidualCompiled(combined, &ctx.Expr)
+	if h.ResidualBee != nil {
+		h.resCalls++
+		v = h.ResidualBee.Eval(combined, &ctx.Expr)
 	} else {
 		v = h.Residual.Eval(combined, &ctx.Expr)
 	}
@@ -233,7 +233,7 @@ func (h *HashJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 			if len(h.matches) == 0 {
 				return outer, true, nil
 			}
-			if h.Residual == nil && h.ResidualCompiled == nil {
+			if h.Residual == nil {
 				continue // matched → excluded
 			}
 			h.outerRow = CloneRow(outer)
@@ -243,7 +243,7 @@ func (h *HashJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 			if len(h.matches) == 0 {
 				continue
 			}
-			if h.Residual == nil && h.ResidualCompiled == nil {
+			if h.Residual == nil {
 				h.matches = h.matches[:0]
 				return outer, true, nil
 			}
@@ -273,10 +273,13 @@ func (h *HashJoin) combineNulls(outer expr.Row) expr.Row {
 
 // Close implements Node.
 func (h *HashJoin) Close(ctx *Ctx) {
-	if h.NoteEVJ != nil && h.evjCalls > 0 {
-		h.NoteEVJ(h.evjCalls)
-		h.evjCalls = 0
+	if h.EVJ != nil {
+		h.EVJ.NoteCalls(h.evjCalls)
 	}
+	if h.ResidualBee != nil {
+		h.ResidualBee.NoteCalls(h.resCalls)
+	}
+	h.evjCalls, h.resCalls = 0, 0
 	h.Outer.Close(ctx)
 	h.table = nil
 }
@@ -296,12 +299,14 @@ type NLJoin struct {
 	Outer, Inner Node
 	Type         JoinType
 	Qual         expr.Expr
-	QualCompiled core.CompiledPred
+	// QualBee is the EVP bee for Qual, if compiled.
+	QualBee *core.Pred
 
-	outerRow expr.Row
-	matched  bool
-	combined expr.Row
-	innerOn  bool
+	qualCalls int64
+	outerRow  expr.Row
+	matched   bool
+	combined  expr.Row
+	innerOn   bool
 }
 
 // Open implements Node.
@@ -315,12 +320,13 @@ func (n *NLJoin) Open(ctx *Ctx) error {
 }
 
 func (n *NLJoin) qualOK(combined expr.Row, ctx *Ctx) bool {
-	if n.Qual == nil && n.QualCompiled == nil {
+	if n.Qual == nil {
 		return true
 	}
 	var v types.Datum
-	if n.QualCompiled != nil {
-		v = n.QualCompiled(combined, &ctx.Expr)
+	if n.QualBee != nil {
+		n.qualCalls++
+		v = n.QualBee.Eval(combined, &ctx.Expr)
 	} else {
 		ctx.Prof().Add(profile.CompJoin, profile.JoinQualNode)
 		v = n.Qual.Eval(combined, &ctx.Expr)
@@ -395,6 +401,10 @@ func (n *NLJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (n *NLJoin) Close(ctx *Ctx) {
+	if n.QualBee != nil {
+		n.QualBee.NoteCalls(n.qualCalls)
+	}
+	n.qualCalls = 0
 	if n.innerOn {
 		n.Inner.Close(ctx)
 		n.innerOn = false

@@ -19,9 +19,9 @@ type SeqScan struct {
 	// NAtts is how many leading attributes the plan needs; deforming
 	// stops there (PostgreSQL's slot_deform_tuple does the same).
 	NAtts int
-	// NoteDeforms, when set, receives the deform (GCL) call count at
-	// Close.
-	NoteDeforms func(int64)
+	// GCL is the relation bee's descriptor when Deform is the GCL
+	// routine; it receives the deform call count at Close.
+	GCL *core.Bee
 	// Range restricts the scan to a page interval — one partition of a
 	// parallel scan. The zero value (Lo == Hi == 0 with Whole true left
 	// unset) means the whole heap.
@@ -102,10 +102,8 @@ func (s *SeqScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (s *SeqScan) Close(*Ctx) {
-	if s.NoteDeforms != nil && s.deforms > 0 {
-		s.NoteDeforms(s.deforms)
-		s.deforms = 0
-	}
+	s.GCL.NoteCalls(s.deforms)
+	s.deforms = 0
 	if s.scanner != nil {
 		s.scanner.Close()
 		s.scanner = nil

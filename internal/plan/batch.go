@@ -20,7 +20,7 @@ import (
 // A spine is ineligible only when its relation has tuple-bee specialized
 // storage while GCL routines are disabled (no batch deformer exists);
 // predicates always convert, falling back to the generic interpreter per
-// row inside BatchFilter when no batch EVP bee applies.
+// row inside BatchFilter when the Filter carried no EVP bee.
 
 // batchify rewrites a finished plan onto the batch path; it is a no-op
 // when batching is disabled.
@@ -35,12 +35,7 @@ func (p *Planner) batchRewrite(n exec.Node) exec.Node {
 	switch v := n.(type) {
 	case *exec.HashAgg:
 		if bn := p.batchRegion(v.Child); bn != nil {
-			return &exec.BatchHashAgg{
-				Child:   bn,
-				GroupBy: v.GroupBy,
-				Aggs:    v.Aggs,
-				NoteEVA: v.NoteEVA,
-			}
+			return &exec.BatchHashAgg{Child: bn, GroupBy: v.GroupBy, Aggs: v.Aggs}
 		}
 		v.Child = p.batchRewrite(v.Child)
 	case *exec.Filter:
@@ -97,8 +92,7 @@ func (p *Planner) batchRegion(n exec.Node) exec.BatchNode {
 				return nil
 			}
 			bs := exec.NewBatchSeqScan(v.Heap, deform, v.NAtts)
-			bs.NoteDeforms = v.NoteDeforms
-			bs.DeformUsage = p.Mod.Usage("relation", v.Heap.Rel.Name)
+			bs.GCL = v.GCL
 			bs.Range = v.Range
 			bs.Partial = v.Partial
 			// Fuse the innermost compiled filter into the scan when the
@@ -107,28 +101,19 @@ func (p *Planner) batchRegion(n exec.Node) exec.BatchNode {
 			// needs, instead of fully deforming rows the filter discards.
 			// The tuple path evaluates the innermost filter first, so
 			// fusing it preserves predicate order for the rest.
-			if k := len(filters) - 1; k >= 0 && filters[k].Compiled != nil {
+			if k := len(filters) - 1; k >= 0 && filters[k].Bee != nil {
 				f := filters[k]
-				if fp, ok := p.Mod.CompileFusedScanFilter(v.Heap.Rel, f.Pred, bs.NAtts); ok {
-					bs.Fused = fp
+				if fs, ok := p.Mod.CompileFusedScanFilter(v.Heap.Rel, f.Pred, bs.NAtts); ok {
+					bs.Fused = fs
 					bs.FusedPred = f.Pred
-					bs.NoteFused = f.NoteCalls
-					bs.FusedUsage = p.Mod.Usage("query/EVP", f.Pred.String())
 					filters = filters[:k]
 				}
 			}
+			// The remaining filters keep their EVP bees: one compiled
+			// predicate serves the tuple and the batch form.
 			var node exec.BatchNode = bs
 			for j := len(filters) - 1; j >= 0; j-- {
-				f := filters[j]
-				bf := &exec.BatchFilter{Child: node, Pred: f.Pred}
-				if f.Compiled != nil {
-					if cp, ok := p.Mod.CompileBatchPredicate(f.Pred); ok {
-						bf.Compiled = cp
-						bf.NoteCalls = f.NoteCalls
-						bf.Usage = p.Mod.Usage("query/EVP", f.Pred.String())
-					}
-				}
-				node = bf
+				node = &exec.BatchFilter{Child: node, Pred: filters[j].Pred, Bee: filters[j].Bee}
 			}
 			return node
 		default:

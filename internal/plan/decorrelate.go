@@ -240,15 +240,8 @@ func (sp *selectPlan) tryDecorrelateExists(ts *treeState, sub *sql.Select, negat
 		OuterKeys: outerKeys, InnerKeys: innerKeys,
 		Type: jt, Residual: residual,
 	}
-	if residual != nil {
-		if cp, ok := sp.p.Mod.CompilePredicate(residual); ok {
-			hj.ResidualCompiled = cp
-		}
-	}
-	if evj, ok := sp.p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes); ok {
-		hj.EVJ = evj
-		hj.NoteEVJ = sp.p.Mod.NoteEVJCall
-	}
+	hj.ResidualBee, _ = sp.p.Mod.CompilePredicate(residual)
+	hj.EVJ, _ = sp.p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes)
 	ts.node = hj
 	// Semi/anti joins keep only the outer columns; ts.cols unchanged.
 	return true, nil, nil
@@ -306,10 +299,7 @@ func (sp *selectPlan) tryDecorrelateScalar(ts *treeState, op string, lhs sql.Exp
 		OuterKeys: outerKeys, InnerKeys: innerKeys,
 		Type: exec.LeftJoin,
 	}
-	if evj, ok := sp.p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes); ok {
-		hj.EVJ = evj
-		hj.NoteEVJ = sp.p.Mod.NoteEVJCall
-	}
+	hj.EVJ, _ = sp.p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes)
 	aggCol := len(ts.cols) + nKeys
 	aggT := subScope.cols[nKeys].t
 	ts.node = hj

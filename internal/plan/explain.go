@@ -62,7 +62,7 @@ func describe(n exec.Node) (string, []exec.Node) {
 	switch v := n.(type) {
 	case *exec.SeqScan:
 		bee := ""
-		if v.NoteDeforms != nil {
+		if v.GCL != nil {
 			bee = " [GCL]"
 		}
 		if v.Partial {
@@ -72,7 +72,7 @@ func describe(n exec.Node) (string, []exec.Node) {
 		return fmt.Sprintf("SeqScan %s (%d cols)%s", v.Heap.Rel.Name, v.NAtts, bee), nil
 	case *exec.BatchSeqScan:
 		bee := ""
-		if v.NoteDeforms != nil {
+		if v.GCL != nil {
 			bee = " [GCL]"
 		}
 		fused := ""
@@ -88,20 +88,14 @@ func describe(n exec.Node) (string, []exec.Node) {
 			v.Heap.Rel.Name, v.NAtts, exec.BatchCap, fused, bee), nil
 	case *exec.BatchFilter:
 		bee := ""
-		if v.Compiled != nil {
+		if v.Bee != nil {
 			bee = " [EVP]"
 		}
 		return fmt.Sprintf("BatchFilter %s%s", v.Pred, bee), []exec.Node{v.Child}
 	case *exec.Rebatch:
 		return "Rebatch", []exec.Node{v.Child}
 	case *exec.BatchHashAgg:
-		bees := ""
-		for i := range v.Aggs {
-			if v.Aggs[i].CompiledArg != nil {
-				bees = " [EVA]"
-				break
-			}
-		}
+		bees := evaMarker(v.Aggs)
 		names := make([]string, len(v.Aggs))
 		for i, a := range v.Aggs {
 			names[i] = a.Name
@@ -121,7 +115,7 @@ func describe(n exec.Node) (string, []exec.Node) {
 		return fmt.Sprintf("Values (%d rows)", len(v.Rows)), nil
 	case *exec.Filter:
 		bee := ""
-		if v.Compiled != nil {
+		if v.Bee != nil {
 			bee = " [EVP]"
 		}
 		return fmt.Sprintf("Filter %s%s", v.Pred, bee), []exec.Node{v.Child}
@@ -140,13 +134,7 @@ func describe(n exec.Node) (string, []exec.Node) {
 	case *exec.Materialize:
 		return "Materialize", []exec.Node{v.Child}
 	case *exec.HashAgg:
-		bees := ""
-		for i := range v.Aggs {
-			if v.Aggs[i].CompiledArg != nil {
-				bees = " [EVA]"
-				break
-			}
-		}
+		bees := evaMarker(v.Aggs)
 		names := make([]string, len(v.Aggs))
 		for i, a := range v.Aggs {
 			names[i] = a.Name
@@ -161,7 +149,7 @@ func describe(n exec.Node) (string, []exec.Node) {
 		res := ""
 		if v.Residual != nil {
 			res = " residual=" + v.Residual.String()
-			if v.ResidualCompiled != nil {
+			if v.ResidualBee != nil {
 				res += " [EVP]"
 			}
 		}
@@ -178,13 +166,7 @@ func describe(n exec.Node) (string, []exec.Node) {
 		switch {
 		case len(v.Aggs) > 0 || v.GroupBy != nil:
 			mode = "partial-agg"
-			bees := ""
-			for i := range v.Aggs {
-				if v.Aggs[i].CompiledArg != nil {
-					bees = " [EVA]"
-					break
-				}
-			}
+			bees := evaMarker(v.Aggs)
 			names := make([]string, len(v.Aggs))
 			for i, a := range v.Aggs {
 				names[i] = a.Name
@@ -198,4 +180,15 @@ func describe(n exec.Node) (string, []exec.Node) {
 	default:
 		return fmt.Sprintf("%T", n), nil
 	}
+}
+
+// evaMarker is the EVA bee marker for an aggregate list: " [EVA]" when
+// any aggregate input runs through a compiled bee.
+func evaMarker(specs []exec.AggSpec) string {
+	for i := range specs {
+		if specs[i].Bee != nil {
+			return " [EVA]"
+		}
+	}
+	return ""
 }

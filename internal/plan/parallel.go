@@ -66,16 +66,13 @@ func (p *Planner) buildParts(r *scanRegion) ([]exec.Node, error) {
 			return nil, err
 		}
 		scan := exec.NewSeqScanRange(r.scan.Heap, deform, r.scan.NAtts, pr)
-		scan.NoteDeforms = r.scan.NoteDeforms
+		scan.GCL = r.scan.GCL
 		var node exec.Node = scan
 		for j := len(r.filters) - 1; j >= 0; j-- {
 			f := r.filters[j]
 			nf := &exec.Filter{Child: node, Pred: f.Pred}
-			if f.Compiled != nil {
-				if cp, ok := p.Mod.CompilePredicate(f.Pred); ok {
-					nf.Compiled = cp
-					nf.NoteCalls = f.NoteCalls
-				}
+			if f.Bee != nil {
+				nf.Bee, _ = p.Mod.CompilePredicate(f.Pred)
 			}
 			node = nf
 		}
@@ -167,20 +164,13 @@ func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
 	// inputs through its own compiled routine.
 	var partAggs [][]exec.AggSpec
 	for i := range agg.Aggs {
-		if agg.Aggs[i].CompiledArg != nil {
+		if agg.Aggs[i].Bee != nil {
 			partAggs = make([][]exec.AggSpec, len(parts))
 			for pi := range parts {
 				specs := append([]exec.AggSpec(nil), agg.Aggs...)
 				for si := range specs {
-					if specs[si].CompiledArg == nil {
-						continue
-					}
-					if ca, ok := p.Mod.CompileScalar(specs[si].Arg); ok {
-						specs[si].CompiledArg = ca
-					}
-					if cba, ok := p.Mod.CompileBatchScalar(specs[si].Arg); ok {
-						specs[si].CompiledBatchArg = cba
-						specs[si].Usage = p.Mod.Usage("query/EVA", specs[si].Arg.String())
+					if specs[si].Bee != nil {
+						specs[si].Bee, _ = p.Mod.CompileScalar(specs[si].Arg)
 					}
 				}
 				partAggs[pi] = specs
@@ -195,7 +185,6 @@ func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
 		GroupBy:  agg.GroupBy,
 		Aggs:     agg.Aggs,
 		PartAggs: partAggs,
-		NoteEVA:  agg.NoteEVA,
 	}
 }
 

@@ -97,10 +97,16 @@ func (p *Planner) scanFor(rel *catalog.Relation) (exec.Node, error) {
 		return nil, err
 	}
 	scan := exec.NewSeqScan(h, deform, 0)
-	if p.Mod.Routines().GCL {
-		scan.NoteDeforms = p.Mod.NoteGCLCall
-	}
+	scan.GCL = p.Mod.GCLBee(rel)
 	return scan, nil
+}
+
+// filter wraps child in a Filter for pred, with the predicate's EVP bee
+// when the bee module admits one.
+func (p *Planner) filter(child exec.Node, pred expr.Expr) *exec.Filter {
+	f := &exec.Filter{Child: child, Pred: pred}
+	f.Bee, _ = p.Mod.CompilePredicate(pred)
+	return f
 }
 
 // estRows estimates a base relation's cardinality for join ordering.

@@ -180,12 +180,7 @@ func (p *Planner) planSelect(sel *sql.Select, parent *scope) (exec.Node, *scope,
 		} else {
 			pred = &expr.And{Kids: postExprs}
 		}
-		f := &exec.Filter{Child: ts.node, Pred: pred}
-		if cp, ok := p.Mod.CompilePredicate(pred); ok {
-			f.Compiled = cp
-			f.NoteCalls = p.Mod.NoteEVPCall
-		}
-		ts.node = f
+		ts.node = p.filter(ts.node, pred)
 	}
 
 	// --- Aggregation, projection, ordering ---
@@ -213,12 +208,7 @@ func (sp *selectPlan) attachFilters(it *fromItem) error {
 		pred = &expr.And{Kids: kids}
 	}
 	sp.p.tryIndexScan(it, kids)
-	f := &exec.Filter{Child: it.node, Pred: pred}
-	if cp, ok := sp.p.Mod.CompilePredicate(pred); ok {
-		f.Compiled = cp
-		f.NoteCalls = sp.p.Mod.NoteEVPCall
-	}
-	it.node = f
+	it.node = sp.p.filter(it.node, pred)
 	it.est = it.est / float64(1+len(it.filters))
 	return nil
 }
@@ -485,10 +475,7 @@ func (sp *selectPlan) buildJoinTree(items []*fromItem, edges []*joinEdge) (*tree
 			InnerKeys: innerKeys,
 			Type:      exec.InnerJoin,
 		}
-		if evj, ok := sp.p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes); ok {
-			hj.EVJ = evj
-			hj.NoteEVJ = sp.p.Mod.NoteEVJCall
-		}
+		hj.EVJ, _ = sp.p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes)
 		itemOffset[next] = len(ts.cols)
 		ts.node = hj
 		ts.cols = append(ts.cols, items[next].cols...)
@@ -515,11 +502,7 @@ func (sp *selectPlan) buildJoinTree(items []*fromItem, edges []*joinEdge) (*tree
 		} else {
 			pred = &expr.And{Kids: leftovers}
 		}
-		f := &exec.Filter{Child: ts.node, Pred: pred}
-		if cp, ok := sp.p.Mod.CompilePredicate(pred); ok {
-			f.Compiled = cp
-		}
-		ts.node = f
+		ts.node = sp.p.filter(ts.node, pred)
 	}
 	return ts, nil
 }
@@ -652,26 +635,15 @@ func (sp *selectPlan) planJoinRef(r *sql.JoinRef) (*fromItem, error) {
 			OuterKeys: outerKeys, InnerKeys: innerKeys,
 			Type: jt, Residual: residual,
 		}
-		if residual != nil {
-			if cp, ok := sp.p.Mod.CompilePredicate(residual); ok {
-				hj.ResidualCompiled = cp
-			}
-		}
-		if evj, ok := sp.p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes); ok {
-			hj.EVJ = evj
-			hj.NoteEVJ = sp.p.Mod.NoteEVJCall
-		}
+		hj.ResidualBee, _ = sp.p.Mod.CompilePredicate(residual)
+		hj.EVJ, _ = sp.p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes)
 		node = hj
 	} else {
 		nl := &exec.NLJoin{
 			Outer: left.node, Inner: &exec.Materialize{Child: right.node},
 			Type: jt, Qual: residual,
 		}
-		if residual != nil {
-			if cp, ok := sp.p.Mod.CompilePredicate(residual); ok {
-				nl.QualCompiled = cp
-			}
-		}
+		nl.QualBee, _ = sp.p.Mod.CompilePredicate(residual)
 		node = nl
 	}
 	return &fromItem{node: node, cols: combined, est: left.est * 1.2}, nil
@@ -729,11 +701,7 @@ func (sp *selectPlan) finishSelect(sel *sql.Select, ts *treeState) (exec.Node, *
 			if err != nil {
 				return nil, nil, err
 			}
-			f := &exec.Filter{Child: curNode, Pred: pred}
-			if cp, ok := p.Mod.CompilePredicate(pred); ok {
-				f.Compiled = cp
-			}
-			curNode = f
+			curNode = p.filter(curNode, pred)
 		}
 	}
 
@@ -932,15 +900,9 @@ func (sp *selectPlan) planAggregation(sel *sql.Select, ts *treeState, outASTs []
 					return err
 				}
 				spec.Arg = arg
-				// EVA: specialize the aggregate's input evaluation, in both
-				// the per-tuple and the per-batch form.
-				if ca, ok := p.Mod.CompileScalar(arg); ok {
-					spec.CompiledArg = ca
-				}
-				if cba, ok := p.Mod.CompileBatchScalar(arg); ok {
-					spec.CompiledBatchArg = cba
-					spec.Usage = p.Mod.Usage("query/EVA", arg.String())
-				}
+				// EVA: specialize the aggregate's input evaluation; one bee
+				// serves the per-tuple and the per-batch form.
+				spec.Bee, _ = p.Mod.CompileScalar(arg)
 			}
 			idx := len(sel.GroupBy) + len(aggs)
 			aggs = append(aggs, spec)
@@ -1019,14 +981,7 @@ func (sp *selectPlan) planAggregation(sel *sql.Select, ts *treeState, outASTs []
 	for _, a := range aggs {
 		postCols = append(postCols, column{name: a.Name, t: a.ResultType()})
 	}
-	agg := &exec.HashAgg{Child: ts.node, GroupBy: groupExprs, Aggs: aggs}
-	for i := range aggs {
-		if aggs[i].CompiledArg != nil {
-			agg.NoteEVA = p.Mod.NoteEVACall
-			break
-		}
-	}
-	return agg, sp.newScope(postCols), subst, nil
+	return &exec.HashAgg{Child: ts.node, GroupBy: groupExprs, Aggs: aggs}, sp.newScope(postCols), subst, nil
 }
 
 // extractAggsOnly walks e calling extract on aggregate FuncCall nodes

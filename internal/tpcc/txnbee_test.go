@@ -89,7 +89,7 @@ func TestTxnBeesMatchStmtAtATime(t *testing.T) {
 			// Five bees registered, visible in the cache under kind "txn".
 			beeRows := 0
 			for _, e := range db.Module().CacheEntries() {
-				if e.Kind == core.TxnBeeKind {
+				if e.Kind == core.KindTxn {
 					beeRows++
 				}
 			}
@@ -132,7 +132,7 @@ func TestTxnBeePanicQuarantinesAndFallsBack(t *testing.T) {
 	if _, err := dr.RunN(50); err != nil {
 		t.Fatal(err)
 	}
-	db.Module().InjectBeePanic(core.TxnBeeKind, "")
+	db.Module().InjectBeePanic(core.KindTxn, "")
 	if _, err := dr.RunN(50); err != nil {
 		t.Fatal(err)
 	}
