@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math"
 
 	"microspec/internal/catalog"
 	"microspec/internal/types"
@@ -32,9 +33,11 @@ type fillOpKind uint8
 const (
 	// fillOpWord4 stores 4 bytes (int32/date).
 	fillOpWord4 fillOpKind = iota
-	// fillOpWord8 stores 8 bytes (int64 and float64: the Datum's I field
-	// already holds the IEEE-754 bits for floats).
+	// fillOpWord8 stores 8 bytes (int64).
 	fillOpWord8
+	// fillOpFloat8 stores a float64's IEEE-754 bits, converting an
+	// integer datum as tuple.Form does.
+	fillOpFloat8
 	// fillOpBool stores one byte.
 	fillOpBool
 	// fillOpChar stores a blank-padded CHAR(n).
@@ -70,8 +73,10 @@ func buildFillProgram(rel *catalog.Relation) ([]fillOp, int, [3]int) {
 		switch a.Type.Kind {
 		case types.KindInt32, types.KindDate:
 			op.op = fillOpWord4
-		case types.KindInt64, types.KindFloat64:
+		case types.KindInt64:
 			op.op = fillOpWord8
+		case types.KindFloat64:
+			op.op = fillOpFloat8
 		case types.KindBool:
 			op.op = fillOpBool
 		case types.KindChar:
@@ -114,6 +119,9 @@ func runFillProgram(ops []fillOp, data []byte, values []types.Datum) {
 			off = o + 4
 		case fillOpWord8:
 			binary.LittleEndian.PutUint64(data[o:], uint64(values[op.idx].I))
+			off = o + 8
+		case fillOpFloat8:
+			binary.LittleEndian.PutUint64(data[o:], math.Float64bits(values[op.idx].Float64()))
 			off = o + 8
 		case fillOpBool:
 			if values[op.idx].I != 0 {
