@@ -80,31 +80,13 @@ func BenchmarkTPCHWarm(b *testing.B) {
 	}
 }
 
-// benchBatchVariants is E12 (DESIGN.md §10): one scan-heavy query under
-// the three executor configurations — generic tuple-at-a-time (stock
-// engine, batching off), bee tuple-at-a-time (bee engine, batching off),
-// and bee batch-at-a-time (bee engine, the default). The batch/tuple
-// contrast on the same bee engine isolates the executor model from the
-// bee routines themselves.
+// benchBatchVariants is E12 (DESIGN.md §10): one scan-heavy query on the
+// batch executor with generic routines (stock engine) and with bee
+// routines (bee engine, the default).
 func benchBatchVariants(b *testing.B, q string) {
 	stock, bee := tpchPair(b)
-	variants := []struct {
-		name  string
-		db    *engine.DB
-		batch bool
-	}{
-		{"generic", stock, false},
-		{"bee-tuple", bee, false},
-		{"bee-batch", bee, true},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			prev := v.db.BatchEnabled()
-			v.db.SetBatch(v.batch)
-			defer v.db.SetBatch(prev)
-			benchQuery(b, v.db, q)
-		})
-	}
+	b.Run("generic", func(b *testing.B) { benchQuery(b, stock, q) })
+	b.Run("bee-batch", func(b *testing.B) { benchQuery(b, bee, q) })
 }
 
 // BenchmarkQ1 is the batch-execution showcase on the aggregation-heavy

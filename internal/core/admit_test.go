@@ -30,7 +30,7 @@ func TestAdmissionPolicy(t *testing.T) {
 			func(m *Module) bool { _, ok := m.CompilePredicate(pred); return ok }},
 		{KindEVA, pred.String(), func(rs *RoutineSet) { rs.EVA = false }, true, false,
 			func(m *Module) bool { _, ok := m.CompileScalar(pred); return ok }},
-		{KindEVJ, "keys[0]", func(rs *RoutineSet) { rs.EVJ = false }, true, false,
+		{KindEVJ, "keys[0]/[1] [integer]", func(rs *RoutineSet) { rs.EVJ = false }, true, false,
 			func(m *Module) bool {
 				_, ok := m.CompileJoinKeys([]int{0}, []int{1}, []types.T{types.Int32})
 				return ok

@@ -550,12 +550,15 @@ func (jk *JoinKeyFuncs) Match(outer, inner expr.Row) bool {
 
 // CompileJoinKeys attempts to create an EVJ query bee for an equi-join on
 // the given key ordinals. Returns (nil, false) when admission refuses it.
+// The bee is named by both sides' ordinals and the key types, so joins
+// of different key shapes are distinct bees.
 func (m *Module) CompileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) (*JoinKeyFuncs, bool) {
 	if len(outerIdx) == 0 {
 		return nil, false
 	}
 	var jk *JoinKeyFuncs
-	b := m.admit(KindEVJ, fmt.Sprintf("keys%v", outerIdx), "", func() (compiled, bool) {
+	name := fmt.Sprintf("keys%v/%v %v", outerIdx, innerIdx, keyTypes)
+	b := m.admit(KindEVJ, name, "", func() (compiled, bool) {
 		jk = compileJoinKeys(outerIdx, innerIdx, keyTypes)
 		return compiled{source: "EVJ", beeCost: jk.Cost, stockCost: stockJoinQualCost(len(outerIdx))}, true
 	})
@@ -567,9 +570,9 @@ func (m *Module) CompileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) (
 }
 
 // NoteParallelPlan is called by the planner when it marks a plan
-// parallel-safe: every bee closure in the plan was freshly instantiated
-// per partition worker, so the placement optimizer records the plan as
-// duplicated across cores.
+// parallel-safe: the partition workers share the plan's bee closures
+// (stateless, with atomic counters), so the placement optimizer records
+// the plan's bees as running on several cores at once.
 func (m *Module) NoteParallelPlan() { m.place.MarkParallelSafe() }
 
 // Stats returns a snapshot of bee-module statistics.

@@ -461,6 +461,18 @@ func TestCompileJoinKeys(t *testing.T) {
 	if jk2.Match(a, b) {
 		t.Error("different strings must not match")
 	}
+	// One descriptor per key shape: the same outer ordinals with other
+	// inner ordinals or key types are distinct bees; the same shape again
+	// is the same bee.
+	otherInner, _ := m.CompileJoinKeys([]int{0}, []int{0}, []types.T{types.Int32})
+	otherType, _ := m.CompileJoinKeys([]int{0}, []int{1}, []types.T{types.Int64})
+	same, _ := m.CompileJoinKeys([]int{0}, []int{1}, []types.T{types.Int32})
+	if otherInner.Bee == jk.Bee || otherType.Bee == jk.Bee || otherInner.Bee == otherType.Bee {
+		t.Error("joins of different key shapes share a descriptor")
+	}
+	if same.Bee != jk.Bee {
+		t.Error("the same key shape got a second descriptor")
+	}
 	// Disabled.
 	if _, ok := NewModule(Stock).CompileJoinKeys([]int{0}, []int{0}, []types.T{types.Int32}); ok {
 		t.Error("stock module must not compile join keys")

@@ -1,8 +1,7 @@
-// Batch-execution tests: the batch-at-a-time path (on by default) must
-// return exactly what the tuple-at-a-time path returns for all 22 TPC-H
-// queries, serial and parallel; batch plans must surface in EXPLAIN and
-// the metrics registry; and batch scans must be race-free against
-// concurrent DML (run with -race).
+// Batch-execution tests: batch plans must surface in EXPLAIN and the
+// metrics registry, and batch scans must be race-free against concurrent
+// DML (run with -race). Result equivalence is TestAll22QueriesAgree's
+// stock-vs-bee oracle (internal/tpch) and TestParallelMatchesSerialTPCH.
 package engine_test
 
 import (
@@ -14,42 +13,14 @@ import (
 	"microspec/internal/tpch"
 )
 
-// TestBatchMatchesTupleTPCH runs all 22 TPC-H queries with the batch path
-// disabled and enabled, at workers=1 and workers=4, and requires identical
-// results — including row order, which batchify preserves by visiting
-// rows in heap page/slot order exactly like the tuple path.
-func TestBatchMatchesTupleTPCH(t *testing.T) {
-	db := analyzeDB(t)
-	defer db.SetWorkers(2) // restore the golden-test degree
-	defer db.SetBatch(true)
-	for _, workers := range []int{1, 4} {
-		db.SetWorkers(workers)
-		for q := 1; q <= 22; q++ {
-			sql := tpch.Queries()[q]
-			db.SetBatch(false)
-			tuple, err := db.Query(sql)
-			if err != nil {
-				t.Fatalf("Q%d workers=%d tuple: %v", q, workers, err)
-			}
-			db.SetBatch(true)
-			batch, err := db.Query(sql)
-			if err != nil {
-				t.Fatalf("Q%d workers=%d batch: %v", q, workers, err)
-			}
-			assertSameResult(t, fmt.Sprintf("Q%d workers=%d", q, workers), tuple, batch)
-		}
-	}
-}
-
 // TestBatchPlanShapes pins that the planner actually chooses the batch
 // path by default and renders it: a serial scan→filter→agg spine becomes
 // BatchHashAgg over a BatchSeqScan with the filter fused into the scan
-// (the composed [GCL+EVP] routine), spines feeding joins sit behind
-// Rebatch adapters, and disabling batching restores the tuple operators.
+// (the composed [GCL+EVP] routine), and spines feeding joins sit behind
+// Rebatch adapters.
 func TestBatchPlanShapes(t *testing.T) {
 	db := analyzeDB(t)
 	defer db.SetWorkers(2)
-	defer db.SetBatch(true)
 
 	db.SetWorkers(1)
 	out, err := db.ExplainQuery(tpch.Queries()[6])
@@ -69,15 +40,6 @@ func TestBatchPlanShapes(t *testing.T) {
 	if !strings.Contains(out, "Rebatch") || !strings.Contains(out, "HashJoin") {
 		t.Errorf("Q3 explain missing Rebatch adapters under joins:\n%s", out)
 	}
-
-	db.SetBatch(false)
-	out, err = db.ExplainQuery(tpch.Queries()[6])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out, "Batch") || strings.Contains(out, "Rebatch") {
-		t.Errorf("batch-disabled plan still contains batch nodes:\n%s", out)
-	}
 }
 
 // TestBatchMetrics asserts the batch-execution counters accumulate: every
@@ -95,16 +57,6 @@ func TestBatchMetrics(t *testing.T) {
 	if snap.Counters["batch.batches"] == 0 || snap.Counters["batch.rows"] < 5000 {
 		t.Fatalf("batch flow counters: batches=%d rows=%d, want >0 and ≥5000",
 			snap.Counters["batch.batches"], snap.Counters["batch.rows"])
-	}
-
-	// A batch-disabled query must not count.
-	db.SetBatch(false)
-	defer db.SetBatch(true)
-	if _, err := db.Query("select count(*) from wide where w_val < 2000"); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.MetricsSnapshot().Counters["batch_queries"]; got != 1 {
-		t.Fatalf("tuple-path query bumped batch_queries to %d", got)
 	}
 }
 

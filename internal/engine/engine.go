@@ -53,9 +53,6 @@ type Config struct {
 	// StatementTimeout bounds every query's execution; zero means no
 	// limit. Adjustable later with SetStatementTimeout.
 	StatementTimeout time.Duration
-	// NoBatch disables the batch-at-a-time executor path (on by default;
-	// see internal/plan/batch.go). Adjustable later with SetBatch.
-	NoBatch bool
 	// VacuumEvery is the per-table dead-version threshold above which a
 	// DML commit triggers a vacuum pass on its table. Zero selects
 	// DefaultVacuumEvery; negative disables automatic vacuum (DB.Vacuum
@@ -209,7 +206,6 @@ func Open(cfg Config) *DB {
 			return h, nil
 		},
 		Workers: cfg.Workers,
-		Batch:   !cfg.NoBatch,
 		IndexesFor: func(rel *catalog.Relation) []plan.IndexMeta {
 			// Called during planning, which always runs under db.mu.
 			ixs := db.byRel[rel.ID]
@@ -244,22 +240,6 @@ func (db *DB) Workers() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.planner.Workers
-}
-
-// SetBatch toggles the batch-at-a-time executor path for subsequent
-// plans; running queries are unaffected (the choice is baked into a plan
-// when it is built).
-func (db *DB) SetBatch(on bool) {
-	db.mu.Lock()
-	db.planner.Batch = on
-	db.mu.Unlock()
-}
-
-// BatchEnabled reports whether new plans use the batch executor path.
-func (db *DB) BatchEnabled() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.planner.Batch
 }
 
 // Module exposes the bee module (for experiment configuration and stats).
@@ -329,9 +309,6 @@ type QueryOpts struct {
 	// Workers overrides the intra-query parallelism degree; 0 keeps the
 	// database default, 1 forces a serial plan.
 	Workers int
-	// Batch overrides the batch-at-a-time executor choice; nil keeps the
-	// database default.
-	Batch *bool
 }
 
 // Query parses, plans, and runs a SELECT.
@@ -430,14 +407,9 @@ func (db *DB) runSelect(qctx context.Context, text string, prof *profile.Counter
 	defer snap.Release()
 
 	pl := db.planner
-	if opts != nil && (opts.Workers > 0 || opts.Batch != nil) {
+	if opts != nil && opts.Workers > 0 {
 		cp := *db.planner
-		if opts.Workers > 0 {
-			cp.Workers = opts.Workers
-		}
-		if opts.Batch != nil {
-			cp.Batch = *opts.Batch
-		}
+		cp.Workers = opts.Workers
 		pl = &cp
 	}
 

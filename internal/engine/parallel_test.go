@@ -163,6 +163,47 @@ func TestParallelGroupByEmptyPartitions(t *testing.T) {
 		t.Fatalf("global agg over zero rows: got %v", parallel.Rows[0])
 	}
 	assertSameResult(t, "global-agg/empty", serial, parallel)
+
+	// HAVING without aggregates makes a Gather with no group keys and no
+	// aggregates: still one group, so one row at every worker degree.
+	sql = "select 1 from wide having 1 = 1"
+	serial, parallel = runSerialAndParallel(t, db, sql)
+	if len(serial.Rows) != 1 || len(parallel.Rows) != 1 {
+		t.Fatalf("HAVING without aggregates: serial %d rows, parallel %d rows, want 1",
+			len(serial.Rows), len(parallel.Rows))
+	}
+	assertSameResult(t, "having/no-aggs", serial, parallel)
+}
+
+// TestParallelPartitionsShareBees pins that parallel partitions share the
+// serial plan's bees: planning a Gather query at workers=4 admits no more
+// bees than planning it serially.
+func TestParallelPartitionsShareBees(t *testing.T) {
+	db := parallelDB(t)
+	admissions := func(sql string, workers int) (int64, string) {
+		t.Helper()
+		db.SetWorkers(workers)
+		fresh0, again0 := db.Module().Admissions()
+		plan, err := db.ExplainQuery(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh1, again1 := db.Module().Admissions()
+		return fresh1 - fresh0 + again1 - again0, plan
+	}
+	for _, sql := range []string{
+		"select w_grp, sum(w_val * 2) from wide where w_val < 2000 group by w_grp",
+		"select w_id, w_grp from wide where w_val < 2000 and w_grp <> 3 order by w_grp, w_id",
+	} {
+		serial, _ := admissions(sql, 1)
+		parallel, plan := admissions(sql, 4)
+		if !strings.Contains(plan, "Gather workers=4") {
+			t.Fatalf("expected a 4-worker Gather plan for %q, got:\n%s", sql, plan)
+		}
+		if serial == 0 || parallel > serial {
+			t.Errorf("%s: %d admissions serial, %d at workers=4", sql, serial, parallel)
+		}
+	}
 }
 
 // TestParallelSortMerge pins the sorted-run-merge Gather mode: each

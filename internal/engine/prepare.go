@@ -103,9 +103,6 @@ func (db *DB) prepareWith(text string, opts QueryOpts, internal bool) (*Stmt, er
 		if opts.Workers > 0 {
 			s.pl.Workers = opts.Workers
 		}
-		if opts.Batch != nil {
-			s.pl.Batch = *opts.Batch
-		}
 		s.pl.Params = s.slots
 		err = s.replanLocked()
 		db.mu.RUnlock()

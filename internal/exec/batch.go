@@ -10,16 +10,16 @@ import (
 	"microspec/internal/types"
 )
 
-// This file is the batch-at-a-time execution path. The tuple-at-a-time
-// Volcano iterator pays one virtual Next call and one per-node bookkeeping
-// charge per tuple, diluting what the specialized bee routines buy on the
-// scan hot path. The batch path instead moves a whole pinned heap page of
-// rows per call: BatchSeqScan deforms the page in one DeformBatch bee
-// invocation, BatchFilter narrows a selection vector in one batch-EVP
-// invocation, and BatchHashAgg consumes batches directly. A Rebatch
-// adapter bridges batch-producing subtrees into unchanged tuple-at-a-time
-// consumers (joins, sorts). Row visit order is identical to the tuple
-// path, so results are bit-identical.
+// This file is the batch-at-a-time execution path, the only way the
+// executor reads a heap sequentially. A tuple-at-a-time Volcano iterator
+// pays one virtual Next call and one per-node bookkeeping charge per
+// tuple, diluting what the specialized bee routines buy on the scan hot
+// path. The batch path instead moves a whole pinned heap page of rows per
+// call: BatchSeqScan deforms the page in one DeformBatch bee invocation,
+// BatchFilter narrows a selection vector in one batch-EVP invocation, and
+// BatchHashAgg consumes batches directly. A Rebatch adapter bridges
+// batch-producing subtrees into tuple-at-a-time consumers (joins, sorts).
+// Rows are visited in heap page/slot order.
 
 // BatchCap is the row capacity of a Batch. Page-wise batches can never
 // exceed a page's maximum slot count (~680 at 8 KiB pages), so the target
@@ -90,9 +90,8 @@ func (r *rebatcher) reset() { r.cur, r.pos = nil, 0 }
 func (r *rebatcher) next(ctx *Ctx, src BatchNode) (expr.Row, bool, error) {
 	for {
 		if r.cur != nil && r.pos < r.cur.Count() {
-			// Poll cancellation per row like the tuple-path scans: consumers
-			// (joins, sorts) may loop here far more often than the source
-			// fetches pages.
+			// Poll cancellation per row: consumers (joins, sorts) may loop
+			// here far more often than the source fetches pages.
 			if err := ctx.Canceled(); err != nil {
 				return nil, false, err
 			}
@@ -130,8 +129,9 @@ type BatchSeqScan struct {
 	// reads per page and only when a usage entry exists.
 	Fused     *core.FusedScan
 	FusedPred expr.Expr
-	// Range and Partial mirror SeqScan: a page interval for one partition
-	// of a parallel scan.
+	// Range restricts the scan to a page interval when Partial is set:
+	// one partition of a parallel (Gather) plan. EXPLAIN shows the
+	// interval.
 	Range   heap.PageRange
 	Partial bool
 
@@ -201,8 +201,9 @@ func (s *BatchSeqScan) Open(ctx *Ctx) error {
 // so consumers never see an empty batch.
 func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 	for {
-		// One unthrottled cancellation poll per page (the tuple path polls
-		// throttled per row; per-page frequency is too low to throttle).
+		// One unthrottled cancellation poll per page (row-at-a-time nodes
+		// poll throttled per row; per-page frequency is too low to
+		// throttle).
 		if err := ctx.CanceledNow(); err != nil {
 			return nil, false, err
 		}
@@ -374,16 +375,14 @@ func (r *Rebatch) Schema() []ColInfo { return r.Child.Schema() }
 
 // drainBatchesIntoAgg consumes src's batches into an aggregation table —
 // the shared inner loop of BatchHashAgg and Gather's batch-aware partial
-// aggregation. evalSpecs supplies the evaluation bees (a partition
-// worker passes its private EVA bees); addSpecs the accumulation specs.
-// Group first-appearance order equals the tuple path's: batches cover the
-// heap in page order and rows within a batch stay in slot order.
+// aggregation. Group first-appearance order equals HashAgg's: batches
+// cover the heap in page order and rows within a batch stay in slot order.
 // The drain is batch-shaped, not row-shaped. Each batch goes through
 // three column-style passes:
 //
 //  1. Group resolution — once per batch for a global aggregate, once per
-//     row otherwise, in row order (preserving the tuple path's group
-//     first-appearance order). A row whose key equals the previous row's
+//     row otherwise, in row order (preserving group first-appearance
+//     order). A row whose key equals the previous row's
 //     reuses its group without re-probing the table.
 //  2. Argument evaluation — per spec, the EVA bee's batch form (or the
 //     per-row interpreter) fills a reusable value column.
@@ -392,13 +391,13 @@ func (r *Rebatch) Schema() []ColInfo { return r.Child.Schema() }
 //     hoisted out of the per-row switch for the count/sum/avg shapes.
 //
 // Each state sees its inputs in row order, so float accumulation is
-// bit-identical to the tuple path.
-func drainBatchesIntoAgg(ctx *Ctx, src BatchNode, groupBy []expr.Expr, evalSpecs, addSpecs []AggSpec, table *aggTable, keyBuf expr.Row) (rows, eva int64, err error) {
+// bit-identical to HashAgg's row loop.
+func drainBatchesIntoAgg(ctx *Ctx, src BatchNode, groupBy []expr.Expr, specs []AggSpec, table *aggTable, keyBuf expr.Row) (rows, eva int64, err error) {
 	var (
 		groups []*aggGroup
 		vbuf   []types.Datum
 	)
-	naggs := len(addSpecs)
+	naggs := len(specs)
 	for {
 		b, ok, err := src.NextBatch(ctx)
 		if err != nil {
@@ -447,9 +446,8 @@ func drainBatchesIntoAgg(ctx *Ctx, src BatchNode, groupBy []expr.Expr, evalSpecs
 				groups[bi] = prev
 			}
 		}
-		for i := range evalSpecs {
-			spec := &evalSpecs[i]
-			ad := &addSpecs[i]
+		for i := range specs {
+			spec := &specs[i]
 			var vals []types.Datum
 			if spec.Arg != nil && len(vbuf) < n {
 				vbuf = make([]types.Datum, growBatchScratch(len(vbuf), n))
@@ -468,7 +466,7 @@ func drainBatchesIntoAgg(ctx *Ctx, src BatchNode, groupBy []expr.Expr, evalSpecs
 			}
 			switch {
 			case vals == nil: // COUNT(*)
-				if ad.Fn == AggCount && !ad.Distinct {
+				if spec.Fn == AggCount && !spec.Distinct {
 					if len(groupBy) == 0 {
 						groups[0].states[i].count += int64(n)
 					} else {
@@ -479,13 +477,13 @@ func drainBatchesIntoAgg(ctx *Ctx, src BatchNode, groupBy []expr.Expr, evalSpecs
 					break
 				}
 				for bi := 0; bi < n; bi++ {
-					groups[bi].states[i].add(ad, types.Datum{})
+					groups[bi].states[i].add(spec, types.Datum{})
 				}
-			case ad.Distinct || ad.Fn == AggMin || ad.Fn == AggMax:
+			case spec.Distinct || spec.Fn == AggMin || spec.Fn == AggMax:
 				for bi := 0; bi < n; bi++ {
-					groups[bi].states[i].add(ad, vals[bi])
+					groups[bi].states[i].add(spec, vals[bi])
 				}
-			case ad.Fn == AggCount:
+			case spec.Fn == AggCount:
 				for bi := 0; bi < n; bi++ {
 					if !vals[bi].IsNull() {
 						groups[bi].states[i].count++
@@ -530,7 +528,7 @@ func (a *BatchHashAgg) Open(ctx *Ctx) error {
 	}
 	defer a.Child.Close(ctx)
 	keyBuf := make(expr.Row, len(a.GroupBy))
-	_, eva, err := drainBatchesIntoAgg(ctx, a.Child, a.GroupBy, a.Aggs, a.Aggs, a.table, keyBuf)
+	_, eva, err := drainBatchesIntoAgg(ctx, a.Child, a.GroupBy, a.Aggs, a.table, keyBuf)
 	a.evaCalls += eva
 	if err != nil {
 		return err

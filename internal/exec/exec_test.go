@@ -12,6 +12,7 @@ import (
 	"microspec/internal/storage/buffer"
 	"microspec/internal/storage/disk"
 	"microspec/internal/storage/heap"
+	"microspec/internal/storage/tuple"
 	"microspec/internal/txn"
 	"microspec/internal/types"
 )
@@ -398,11 +399,59 @@ func TestCorrelatedSubquery(t *testing.T) {
 	}
 }
 
-func TestSeqScanOverHeap(t *testing.T) {
-	m := core.NewModule(core.Stock)
+// refScan is the reference a batch scan spine must reproduce: the
+// generic per-tuple loop (heap scanner, slot_deform_tuple, interpreted
+// predicate) over the whole heap, or over r when it is non-nil.
+func refScan(h *heap.Heap, r *heap.PageRange, natts int, pred expr.Expr) []expr.Row {
+	sc := h.Scan(nil, nil)
+	if r != nil {
+		sc = h.ScanRange(nil, *r, nil)
+	}
+	defer sc.Close()
+	var out []expr.Row
+	row := make(expr.Row, natts)
+	for {
+		_, tup, ok := sc.Next()
+		if !ok {
+			return out
+		}
+		tuple.SlotDeform(h.Rel, tup, row, natts, nil)
+		if pred != nil {
+			if v := pred.Eval(row, &expr.Ctx{}); v.IsNull() || !v.Bool() {
+				continue
+			}
+		}
+		out = append(out, CloneRow(row))
+	}
+}
+
+func assertRowsEqual(t *testing.T, label string, want, got []expr.Row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, reference %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s row %d: width %d, reference %d", label, i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if got[i][j].Compare(want[i][j]) != 0 {
+				t.Fatalf("%s row %d col %d: %v, reference %v", label, i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// TestBatchSeqScanMatchesReference checks the batch scan spine against
+// the generic per-tuple reference loop: a plain scan, a BatchFilter, a
+// fused GCL∘EVP scan-filter, and a page-range partition that deforms
+// fewer attributes than the relation has.
+func TestBatchSeqScanMatchesReference(t *testing.T) {
+	m := core.NewModule(core.AllRoutines)
 	cat := catalog.New()
 	rel, err := cat.CreateRelation("t", catalog.Schema{Attrs: []catalog.Attribute{
 		catalog.Col("id", types.Int32, true),
+		catalog.Col("grp", types.Int32, true),
 		catalog.Col("name", types.Varchar(20), true),
 	}}, nil, nil)
 	if err != nil {
@@ -410,10 +459,10 @@ func TestSeqScanOverHeap(t *testing.T) {
 	}
 	m.OnCreateRelation(rel)
 	dm := disk.NewManager(disk.LatencyModel{})
-	pool := buffer.New(dm, 16)
+	pool := buffer.New(dm, 64)
 	h := heap.Create(dm, pool, rel, nil)
-	for i := 0; i < 100; i++ {
-		tup, err := m.FormTuple(rel, []types.Datum{i32(int32(i)), str("n")}, nil)
+	for i := 0; i < 2000; i++ {
+		tup, err := m.FormTuple(rel, []types.Datum{i32(int32(i)), i32(int32(i % 7)), str(fmt.Sprintf("name-%d", i))}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,23 +470,54 @@ func TestSeqScanOverHeap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deform, err := m.Deformer(rel)
+	deform, err := m.BatchDeformer(rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := NewSeqScan(h, deform, 0)
-	rows := mustCollect(t, scan)
-	if len(rows) != 100 {
-		t.Fatalf("scanned %d", len(rows))
+	natts := len(rel.Attrs)
+	pred := &expr.And{Kids: []expr.Expr{
+		&expr.Cmp{Op: expr.LT, L: &expr.Var{Idx: 1, T: types.Int32}, R: expr.NewConst(i32(3))},
+		&expr.Cmp{Op: expr.GE, L: &expr.Var{Idx: 0, T: types.Int32}, R: expr.NewConst(i32(100))},
+	}}
+
+	all := refScan(h, nil, natts, nil)
+	if len(all) != 2000 {
+		t.Fatalf("reference scanned %d rows", len(all))
 	}
-	if rows[42][0].Int32() != 42 || rows[42][1].Str() != "n" {
-		t.Errorf("row 42 = %v", rows[42])
+	assertRowsEqual(t, "plain", all, mustCollect(t, NewBatchSeqScan(h, deform, 0)))
+
+	bee, ok := m.CompilePredicate(pred)
+	if !ok {
+		t.Fatal("EVP compile failed")
 	}
-	// Partial scan of only the first attribute.
-	part := NewSeqScan(h, deform, 1)
-	if cols := part.Schema(); len(cols) != 1 || cols[0].Name != "id" {
-		t.Errorf("partial schema = %v", cols)
+	filtered := refScan(h, nil, natts, pred)
+	if len(filtered) == 0 || len(filtered) == len(all) {
+		t.Fatalf("predicate keeps %d of %d rows", len(filtered), len(all))
 	}
+	assertRowsEqual(t, "BatchFilter", filtered,
+		mustCollect(t, &BatchFilter{Child: NewBatchSeqScan(h, deform, 0), Pred: pred, Bee: bee}))
+
+	fused := NewBatchSeqScan(h, deform, 0)
+	if fused.Fused, ok = m.CompileFusedScanFilter(rel, pred, natts); !ok {
+		t.Fatal("fused scan-filter compile failed")
+	}
+	fused.FusedPred = pred
+	assertRowsEqual(t, "fused", filtered, mustCollect(t, fused))
+
+	ranges := h.Partitions(2)
+	if len(ranges) != 2 {
+		t.Fatalf("heap has %d partitions, want 2", len(ranges))
+	}
+	part := NewBatchSeqScan(h, deform, 2)
+	part.Range, part.Partial = ranges[1], true
+	if cols := part.Schema(); len(cols) != 2 || cols[1].Name != "grp" {
+		t.Errorf("partition schema = %v", cols)
+	}
+	want := refScan(h, &ranges[1], 2, nil)
+	if len(want) == 0 || len(want) == len(all) {
+		t.Fatalf("second partition holds %d of %d rows", len(want), len(all))
+	}
+	assertRowsEqual(t, "page range", want, mustCollect(t, part))
 }
 
 func TestMaterializeRescan(t *testing.T) {

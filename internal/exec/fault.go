@@ -55,7 +55,7 @@ func WalkBees(n Node, fn func(*core.Bee)) {
 		}
 	}
 	switch v := n.(type) {
-	case *SeqScan, *IndexScan, *ValuesNode:
+	case *IndexScan, *ValuesNode:
 		// Leaves; GCL excluded by policy.
 	case *BatchSeqScan:
 		// A fused scan-filter carries the predicate's EVP descriptor, so
@@ -109,9 +109,6 @@ func WalkBees(n Node, fn func(*core.Bee)) {
 		WalkBees(v.Inner, fn)
 	case *Gather:
 		aggRefs(v.Aggs)
-		for _, specs := range v.PartAggs {
-			aggRefs(specs)
-		}
 		for _, p := range v.Parts {
 			WalkBees(p, fn)
 		}

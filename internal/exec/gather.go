@@ -11,25 +11,22 @@ import (
 )
 
 // Gather is the executor's intra-query parallelism node. It owns one
-// subplan per heap partition (a page-range SeqScan, usually under a
-// Filter) and drives them on a bounded worker pool. It runs in one of
-// three modes, chosen by the planner:
+// subplan per heap partition (a page-range batch scan spine) and drives
+// them on a bounded worker pool, in the mode the planner set:
 //
-//   - Aggregation: GroupBy/Aggs are set. Each worker aggregates its
-//     partition into a local group table (partial aggregation); the
-//     gather point merges the partial states in partition order, which
-//     reproduces the serial first-appearance group order exactly.
-//   - Sorted-run merge: MergeKeys is set. Each partition subplan ends in
-//     a Sort; workers sort their runs in parallel and the gather point
-//     k-way merges them, so the Gather's output is globally ordered.
-//   - Row streaming: neither is set. Workers stream their partition's
-//     rows into a channel in arrival order (nondeterministic; the planner
-//     only uses this mode under an order-restoring Sort).
+//   - GatherAgg: each worker aggregates its partition into a local group
+//     table (partial aggregation); the gather point merges the partial
+//     states in partition order, which reproduces the serial
+//     first-appearance group order exactly.
+//   - GatherMerge: each partition subplan ends in a Sort; workers sort
+//     their runs in parallel and the gather point k-way merges them, so
+//     the Gather's output is globally ordered.
 //
-// Bees stay per-worker: every partition subplan carries its own deform
-// (GCL), predicate (EVP), and aggregate-input (EVA) closures, so the
-// per-tuple hot path shares no mutable state across workers. Each worker
-// likewise owns a private profile.Counters, merged at the gather point.
+// Partitions share the serial plan's bees (deform, predicate, fused
+// scan-filter, and aggregate-input routines): the compiled closures are
+// stateless and their call counters and usage entries are atomic. Each
+// worker owns its subplan's runtime state and a private
+// profile.Counters, merged at the gather point.
 type Gather struct {
 	// Parts are the per-partition subplans. Each is driven by exactly one
 	// worker at a time and must not share mutable state with its
@@ -38,17 +35,16 @@ type Gather struct {
 	// Workers bounds the pool; at most min(Workers, len(Parts))
 	// goroutines run concurrently.
 	Workers int
+	// Mode selects how partition outputs combine.
+	Mode GatherMode
 
-	// GroupBy and Aggs select aggregation mode; they mirror the HashAgg
-	// fields the Gather replaces. PartAggs carries per-partition AggSpec
-	// copies whose EVA bees are private to one worker; entry i may be nil
-	// to share Aggs. The pooled EVA invocation count is reported at Close.
-	GroupBy  []expr.Expr
-	Aggs     []AggSpec
-	PartAggs [][]AggSpec
+	// GroupBy and Aggs mirror the aggregation the GatherAgg node
+	// replaces; the pooled EVA invocation count is reported at Close.
+	GroupBy []expr.Expr
+	Aggs    []AggSpec
 
-	// MergeKeys selects sorted-run merge mode: every part emits rows
-	// sorted by these keys (the planner roots each part in a Sort, whose
+	// MergeKeys are the GatherMerge sort keys: every part emits rows
+	// sorted by them (the planner roots each part in a Sort, whose
 	// materialized rows stay valid across Next calls — required here).
 	MergeKeys []SortKey
 
@@ -58,13 +54,6 @@ type Gather struct {
 	table    *aggTable
 	pos      int
 	outBuf   expr.Row
-	rowCh    chan expr.Row
-	batchCh  chan *Batch
-	curBatch *Batch
-	batchPos int
-	done     chan struct{}
-	wg       sync.WaitGroup
-	finish   sync.Once
 	heads    []expr.Row
 	opened   []bool
 	evaCalls int64
@@ -76,6 +65,16 @@ type Gather struct {
 	stats  []WorkerStat
 }
 
+// GatherMode is how a Gather combines its partitions' output.
+type GatherMode uint8
+
+const (
+	// GatherAgg merges per-partition aggregation tables.
+	GatherAgg GatherMode = iota
+	// GatherMerge k-way merges per-partition sorted runs.
+	GatherMerge
+)
+
 // WorkerStat records one partition's execution on the worker pool, folded
 // into the engine's per-worker scan/agg histograms after the query.
 type WorkerStat struct {
@@ -86,9 +85,6 @@ type WorkerStat struct {
 	// pure scan/sort partition).
 	Agg bool
 }
-
-func (g *Gather) aggMode() bool   { return len(g.Aggs) > 0 || g.GroupBy != nil }
-func (g *Gather) mergeMode() bool { return !g.aggMode() && len(g.MergeKeys) > 0 }
 
 // poolSize returns the number of goroutines the pool runs.
 func (g *Gather) poolSize() int {
@@ -140,13 +136,14 @@ func (g *Gather) runPool(ctx *Ctx, work func(part int, wctx *Ctx) error) {
 	n := g.poolSize()
 	parts := make(chan int)
 	profs := make([]*profile.Counters, n)
+	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {
 		if ctx.Prof() != nil {
 			profs[w] = &profile.Counters{}
 		}
-		g.wg.Add(1)
+		wg.Add(1)
 		go func(w int) {
-			defer g.wg.Done()
+			defer wg.Done()
 			wctx := &Ctx{Context: ctx.Context, Expr: expr.Ctx{Prof: profs[w]}, Snap: ctx.Snap}
 			for part := range parts {
 				if g.loadErr() != nil {
@@ -162,7 +159,7 @@ func (g *Gather) runPool(ctx *Ctx, work func(part int, wctx *Ctx) error) {
 		parts <- i
 	}
 	close(parts)
-	g.wg.Wait()
+	wg.Wait()
 	for _, p := range profs {
 		ctx.Prof().Merge(p)
 	}
@@ -181,34 +178,23 @@ func runPart(part int, wctx *Ctx, work func(part int, wctx *Ctx) error) (err err
 	return work(part, wctx)
 }
 
-// Open implements Node. In aggregation and merge modes all parallel work
-// happens here (the node is a pipeline breaker, like HashAgg and Sort);
-// in streaming mode workers run concurrently with Next.
+// Open implements Node. All parallel work happens here: the node is a
+// pipeline breaker, like HashAgg and Sort.
 func (g *Gather) Open(ctx *Ctx) error {
 	g.pos = 0
 	g.table = nil
-	g.rowCh = nil
-	g.batchCh = nil
-	g.curBatch = nil
-	g.batchPos = 0
 	g.heads = nil
 	g.opened = nil
 	g.err = nil
 	g.evaCalls = 0
-	g.finish = sync.Once{}
 	g.statMu.Lock()
 	g.stats = g.stats[:0]
 	g.statMu.Unlock()
 
-	switch {
-	case g.aggMode():
-		return g.openAgg(ctx)
-	case g.mergeMode():
+	if g.Mode == GatherMerge {
 		return g.openMerge(ctx)
-	default:
-		g.openStream(ctx)
-		return nil
 	}
+	return g.openAgg(ctx)
 }
 
 // openAgg runs partial aggregation on the pool and merges the partition
@@ -223,10 +209,6 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 
 	g.runPool(ctx, func(part int, wctx *Ctx) error {
 		start := time.Now()
-		specs := g.Aggs
-		if g.PartAggs != nil && g.PartAggs[part] != nil {
-			specs = g.PartAggs[part]
-		}
 		node := g.Parts[part]
 		if err := node.Open(wctx); err != nil {
 			node.Close(wctx) // release pins of a partially-opened subtree
@@ -241,7 +223,7 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 		// (Analyzed runs wrap parts in Instrumented and take the tuple
 		// loop below; Rebatch still moves batches underneath it.)
 		if rb, ok := node.(*Rebatch); ok {
-			rows, eva, err := drainBatchesIntoAgg(wctx, rb.Child, g.GroupBy, specs, g.Aggs, table, keyBuf)
+			rows, eva, err := drainBatchesIntoAgg(wctx, rb.Child, g.GroupBy, g.Aggs, table, keyBuf)
 			if err != nil {
 				return err
 			}
@@ -266,8 +248,8 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 				keyBuf[i] = ge.Eval(row, &wctx.Expr)
 			}
 			grp := table.find(keyBuf, len(g.Aggs))
-			for i := range specs {
-				spec := &specs[i]
+			for i := range g.Aggs {
+				spec := &g.Aggs[i]
 				var v types.Datum
 				switch {
 				case spec.Bee != nil:
@@ -276,7 +258,7 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 				case spec.Arg != nil:
 					v = spec.Arg.Eval(row, &wctx.Expr)
 				}
-				grp.states[i].add(&g.Aggs[i], v)
+				grp.states[i].add(spec, v)
 			}
 		}
 		partTables[part] = table
@@ -348,107 +330,9 @@ func (g *Gather) openMerge(ctx *Ctx) error {
 	return nil
 }
 
-// openStream starts workers that push cloned rows into a channel; Next
-// consumes until the pool drains. When every partition is Rebatch-rooted,
-// workers exchange whole cloned batches instead of single rows, cutting
-// channel operations by the batch size.
-func (g *Gather) openStream(ctx *Ctx) {
-	allBatch := len(g.Parts) > 0
-	for _, p := range g.Parts {
-		if _, ok := p.(*Rebatch); !ok {
-			allBatch = false
-			break
-		}
-	}
-	if allBatch {
-		g.openBatchStream(ctx)
-		return
-	}
-	g.rowCh = make(chan expr.Row, 64)
-	g.done = make(chan struct{})
-	ch, done := g.rowCh, g.done
-	go func() {
-		g.runPool(ctx, func(part int, wctx *Ctx) error {
-			start := time.Now()
-			node := g.Parts[part]
-			if err := node.Open(wctx); err != nil {
-				node.Close(wctx) // release pins of a partially-opened subtree
-				return err
-			}
-			defer node.Close(wctx)
-			var rows int64
-			for {
-				row, ok, err := node.Next(wctx)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				rows++
-				select {
-				case ch <- CloneRow(row):
-				case <-done:
-					g.noteStat(WorkerStat{Part: part, Rows: rows, Elapsed: time.Since(start)})
-					return nil
-				}
-			}
-			g.noteStat(WorkerStat{Part: part, Rows: rows, Elapsed: time.Since(start)})
-			return nil
-		})
-		close(ch)
-	}()
-}
-
-// openBatchStream is openStream's batch form: each worker drives its
-// partition's batch subtree directly and ships compacted, deep-copied
-// batches (the originals alias worker-pinned pages) over a batch channel.
-func (g *Gather) openBatchStream(ctx *Ctx) {
-	g.batchCh = make(chan *Batch, 8)
-	g.done = make(chan struct{})
-	ch, done := g.batchCh, g.done
-	go func() {
-		g.runPool(ctx, func(part int, wctx *Ctx) error {
-			start := time.Now()
-			node := g.Parts[part].(*Rebatch)
-			if err := node.Open(wctx); err != nil {
-				node.Close(wctx) // release pins of a partially-opened subtree
-				return err
-			}
-			defer node.Close(wctx)
-			var rows int64
-			for {
-				b, ok, err := node.Child.NextBatch(wctx)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				n := b.Count()
-				rows += int64(n)
-				out := &Batch{Rows: make([]expr.Row, n), N: n}
-				for i := 0; i < n; i++ {
-					out.Rows[i] = CloneRow(b.RowAt(i))
-				}
-				select {
-				case ch <- out:
-				case <-done:
-					g.noteStat(WorkerStat{Part: part, Rows: rows, Elapsed: time.Since(start)})
-					return nil
-				}
-			}
-			g.noteStat(WorkerStat{Part: part, Rows: rows, Elapsed: time.Since(start)})
-			return nil
-		})
-		close(ch)
-	}()
-}
-
 // Next implements Node.
 func (g *Gather) Next(ctx *Ctx) (expr.Row, bool, error) {
-	switch {
-	case g.aggMode():
+	if g.Mode == GatherAgg {
 		if g.table == nil || g.pos >= len(g.table.order) {
 			return nil, false, nil
 		}
@@ -459,84 +343,38 @@ func (g *Gather) Next(ctx *Ctx) (expr.Row, bool, error) {
 			g.outBuf[len(g.GroupBy)+i] = grp.states[i].result(&g.Aggs[i])
 		}
 		return g.outBuf, true, nil
-
-	case g.mergeMode():
-		best := -1
-		for i, row := range g.heads {
-			if row == nil {
-				continue
-			}
-			if best < 0 || compareRows(row, g.heads[best], g.MergeKeys) < 0 {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil, false, nil
-		}
-		row := g.heads[best]
-		next, ok, err := g.Parts[best].Next(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			g.heads[best] = next
-		} else {
-			g.heads[best] = nil
-		}
-		return row, true, nil
-
-	default:
-		if g.batchCh != nil {
-			for {
-				if g.curBatch != nil && g.batchPos < g.curBatch.Count() {
-					row := g.curBatch.RowAt(g.batchPos)
-					g.batchPos++
-					return row, true, nil
-				}
-				b, ok := <-g.batchCh
-				if !ok {
-					// Pool drained: surface any worker error.
-					return nil, false, g.loadErr()
-				}
-				g.curBatch, g.batchPos = b, 0
-			}
-		}
-		row, ok := <-g.rowCh
-		if !ok {
-			// Pool drained: surface any worker error.
-			return nil, false, g.loadErr()
-		}
-		return row, true, nil
 	}
+	best := -1
+	for i, row := range g.heads {
+		if row == nil {
+			continue
+		}
+		if best < 0 || compareRows(row, g.heads[best], g.MergeKeys) < 0 {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil, false, nil
+	}
+	row := g.heads[best]
+	next, ok, err := g.Parts[best].Next(ctx)
+	if err != nil {
+		return nil, false, err
+	}
+	if ok {
+		g.heads[best] = next
+	} else {
+		g.heads[best] = nil
+	}
+	return row, true, nil
 }
 
-// Close implements Node; it stops streaming workers, waits for the pool,
-// and reports pooled bee-call counts.
+// Close implements Node; it closes merge-mode runs and reports pooled
+// bee-call counts.
 func (g *Gather) Close(ctx *Ctx) {
-	g.finish.Do(func() {
-		if g.done != nil {
-			close(g.done)
-			// Unblock workers parked on a full channel, then wait.
-			if g.rowCh != nil {
-				go func() {
-					for range g.rowCh {
-					}
-				}()
-			}
-			if g.batchCh != nil {
-				go func() {
-					for range g.batchCh {
-					}
-				}()
-			}
-			g.wg.Wait()
-		}
-		if g.mergeMode() {
-			g.closeParts(ctx)
-		}
-		noteEVA(g.Aggs, g.evaCalls)
-		g.evaCalls = 0
-	})
+	g.closeParts(ctx)
+	noteEVA(g.Aggs, g.evaCalls)
+	g.evaCalls = 0
 }
 
 func (g *Gather) closeParts(ctx *Ctx) {
@@ -551,7 +389,7 @@ func (g *Gather) closeParts(ctx *Ctx) {
 // Schema implements Node. In aggregation mode it mirrors HashAgg's output
 // (group keys then aggregates); otherwise it is the partition schema.
 func (g *Gather) Schema() []ColInfo {
-	if !g.aggMode() {
+	if g.Mode == GatherMerge {
 		return g.Parts[0].Schema()
 	}
 	if g.cols != nil {

@@ -241,7 +241,7 @@ func WalkNodes(n Node, fn func(Node)) {
 	}
 }
 
-// NodeTypeName returns the bare operator name of a plan node ("SeqScan",
+// NodeTypeName returns the bare operator name of a plan node ("BatchSeqScan",
 // "HashJoin", ...), unwrapping instrumentation.
 func NodeTypeName(n Node) string {
 	switch in := n.(type) {

@@ -21,7 +21,7 @@ func ResetCaches(n Node) {
 		}
 	}
 	switch v := n.(type) {
-	case *SeqScan, *IndexScan, *ValuesNode:
+	case *IndexScan, *ValuesNode:
 	case *BatchSeqScan:
 		resetExprCaches(v.FusedPred)
 	case *Rebatch:
@@ -62,9 +62,6 @@ func ResetCaches(n Node) {
 		ResetCaches(v.Inner)
 	case *Gather:
 		aggExprs(v.Aggs)
-		for _, specs := range v.PartAggs {
-			aggExprs(specs)
-		}
 		for _, p := range v.Parts {
 			ResetCaches(p)
 		}

@@ -11,57 +11,7 @@ import (
 	"microspec/internal/storage/heap"
 )
 
-// SeqScan reads a heap relation sequentially, deforming each stored tuple
-// through the routine the bee module selected (GCL or the generic loop).
-type SeqScan struct {
-	Heap   *heap.Heap
-	Deform core.DeformFunc
-	// NAtts is how many leading attributes the plan needs; deforming
-	// stops there (PostgreSQL's slot_deform_tuple does the same).
-	NAtts int
-	// GCL is the relation bee's descriptor when Deform is the GCL
-	// routine; it receives the deform call count at Close.
-	GCL *core.Bee
-	// Range restricts the scan to a page interval — one partition of a
-	// parallel scan. The zero value (Lo == Hi == 0 with Whole true left
-	// unset) means the whole heap.
-	Range heap.PageRange
-	// Partial is true when Range restricts the scan (set by
-	// NewSeqScanRange; EXPLAIN shows the page interval).
-	Partial bool
-
-	deforms int64
-	scanner *heap.Scanner
-	buf     expr.Row
-	cols    []ColInfo
-}
-
-// NewSeqScan builds a sequential scan over rel's heap. natts ≤ 0 scans
-// all attributes.
-func NewSeqScan(h *heap.Heap, deform core.DeformFunc, natts int) *SeqScan {
-	rel := h.Rel
-	if natts <= 0 || natts > len(rel.Attrs) {
-		natts = len(rel.Attrs)
-	}
-	return &SeqScan{
-		Heap:   h,
-		Deform: deform,
-		NAtts:  natts,
-		cols:   relCols(rel, natts),
-	}
-}
-
-// NewSeqScanRange builds a sequential scan over one page-range partition
-// of rel's heap — the per-worker leaf of a parallel (Gather) plan. Each
-// partition scan must carry its own deform closure so workers share no
-// mutable state on the hot path.
-func NewSeqScanRange(h *heap.Heap, deform core.DeformFunc, natts int, r heap.PageRange) *SeqScan {
-	s := NewSeqScan(h, deform, natts)
-	s.Range = r
-	s.Partial = true
-	return s
-}
-
+// relCols is the schema of a scan emitting rel's first natts attributes.
 func relCols(rel *catalog.Relation, natts int) []ColInfo {
 	cols := make([]ColInfo, natts)
 	for i := 0; i < natts; i++ {
@@ -69,49 +19,6 @@ func relCols(rel *catalog.Relation, natts int) []ColInfo {
 	}
 	return cols
 }
-
-// Open implements Node.
-func (s *SeqScan) Open(ctx *Ctx) error {
-	if s.Partial {
-		s.scanner = s.Heap.ScanRange(ctx.Snap, s.Range, ctx.Prof())
-	} else {
-		s.scanner = s.Heap.Scan(ctx.Snap, ctx.Prof())
-	}
-	if s.buf == nil {
-		s.buf = make(expr.Row, s.NAtts)
-	}
-	return nil
-}
-
-// Next implements Node.
-func (s *SeqScan) Next(ctx *Ctx) (expr.Row, bool, error) {
-	// The scan is the executor's innermost loop: checking here lets a
-	// cancelled query stop mid-partition, including inside Gather workers.
-	if err := ctx.Canceled(); err != nil {
-		return nil, false, err
-	}
-	_, tup, ok := s.scanner.Next()
-	if !ok {
-		return nil, false, s.scanner.Err()
-	}
-	ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple)
-	s.deforms++
-	s.Deform(tup, s.buf, s.NAtts, ctx.Prof())
-	return s.buf, true, nil
-}
-
-// Close implements Node.
-func (s *SeqScan) Close(*Ctx) {
-	s.GCL.NoteCalls(s.deforms)
-	s.deforms = 0
-	if s.scanner != nil {
-		s.scanner.Close()
-		s.scanner = nil
-	}
-}
-
-// Schema implements Node.
-func (s *SeqScan) Schema() []ColInfo { return s.cols }
 
 // IndexScan fetches tuples by index key or key range, in index order.
 type IndexScan struct {

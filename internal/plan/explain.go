@@ -60,16 +60,6 @@ func explainNode(b *strings.Builder, n exec.Node, depth int, analyze bool) {
 // after an analyzed run; explainNode unwraps them.
 func describe(n exec.Node) (string, []exec.Node) {
 	switch v := n.(type) {
-	case *exec.SeqScan:
-		bee := ""
-		if v.GCL != nil {
-			bee = " [GCL]"
-		}
-		if v.Partial {
-			return fmt.Sprintf("SeqScan %s (%d cols) pages=[%d,%d)%s",
-				v.Heap.Rel.Name, v.NAtts, v.Range.Lo, v.Range.Hi, bee), nil
-		}
-		return fmt.Sprintf("SeqScan %s (%d cols)%s", v.Heap.Rel.Name, v.NAtts, bee), nil
 	case *exec.BatchSeqScan:
 		bee := ""
 		if v.GCL != nil {
@@ -162,21 +152,15 @@ func describe(n exec.Node) (string, []exec.Node) {
 		}
 		return fmt.Sprintf("NestedLoopJoin %s%s", v.Type, qual), []exec.Node{v.Outer, v.Inner}
 	case *exec.Gather:
-		mode := "stream"
-		switch {
-		case len(v.Aggs) > 0 || v.GroupBy != nil:
-			mode = "partial-agg"
-			bees := evaMarker(v.Aggs)
-			names := make([]string, len(v.Aggs))
-			for i, a := range v.Aggs {
-				names[i] = a.Name
-			}
-			return fmt.Sprintf("Gather workers=%d (%s groups=%d aggs=[%s])%s",
-				v.Workers, mode, len(v.GroupBy), strings.Join(names, ", "), bees), v.Parts
-		case len(v.MergeKeys) > 0:
-			mode = "merge"
+		if v.Mode == exec.GatherMerge {
+			return fmt.Sprintf("Gather workers=%d (merge)", v.Workers), v.Parts
 		}
-		return fmt.Sprintf("Gather workers=%d (%s)", v.Workers, mode), v.Parts
+		names := make([]string, len(v.Aggs))
+		for i, a := range v.Aggs {
+			names[i] = a.Name
+		}
+		return fmt.Sprintf("Gather workers=%d (partial-agg groups=%d aggs=[%s])%s",
+			v.Workers, len(v.GroupBy), strings.Join(names, ", "), evaMarker(v.Aggs)), v.Parts
 	default:
 		return fmt.Sprintf("%T", n), nil
 	}

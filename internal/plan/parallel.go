@@ -2,93 +2,78 @@ package plan
 
 import (
 	"microspec/internal/exec"
+	"microspec/internal/storage/heap"
 )
 
 // minParallelPages is the smallest heap (in pages) worth partitioning:
 // below it, worker startup costs more than the scan itself.
 const minParallelPages = 8
 
-// scanRegion is a parallelizable plan fragment: a chain of Filters (outer
-// first, possibly empty) over one whole-heap SeqScan. The region is the
-// unit the planner replicates per partition, each replica carrying its
-// own bee closures.
-type scanRegion struct {
-	filters []*exec.Filter
-	scan    *exec.SeqScan
-}
-
-// scanRegionOf matches a node against the Filter*→SeqScan shape; nil if
-// the fragment has any other operator (joins, subquery-bearing nodes,
-// index scans) or the scan is already partial.
-func scanRegionOf(n exec.Node) *scanRegion {
-	r := &scanRegion{}
+// spineScan returns the whole-heap scan at the bottom of a scan spine (a
+// chain of BatchFilters over one BatchSeqScan), or nil when the spine
+// reads a single partition already or any predicate on it is unsafe for
+// concurrent workers (subquery expressions, outer references).
+func spineScan(n exec.BatchNode) *exec.BatchSeqScan {
 	for {
 		switch v := n.(type) {
-		case *exec.Filter:
-			r.filters = append(r.filters, v)
-			n = v.Child
-		case *exec.SeqScan:
-			if v.Partial {
+		case *exec.BatchFilter:
+			if !exec.ParallelSafeExpr(v.Pred) {
 				return nil
 			}
-			r.scan = v
-			return r
+			n = v.Child
+		case *exec.BatchSeqScan:
+			if v.Partial || !exec.ParallelSafeExpr(v.FusedPred) {
+				return nil
+			}
+			return v
 		default:
 			return nil
 		}
 	}
 }
 
-// safe reports whether every predicate in the region may run on
-// concurrent workers (no subquery expressions, no outer references).
-func (r *scanRegion) safe() bool {
-	for _, f := range r.filters {
-		if !exec.ParallelSafeExpr(f.Pred) {
-			return false
-		}
+// partition copies a scan spine onto one page range. The copy has its
+// own runtime state but shares every bee with the serial spine: deform,
+// fused scan-filter, and predicate routines are stateless closures, and
+// their call counters and usage entries are atomic.
+func partition(n exec.BatchNode, r heap.PageRange) exec.BatchNode {
+	if f, ok := n.(*exec.BatchFilter); ok {
+		return &exec.BatchFilter{Child: partition(f.Child, r), Pred: f.Pred, Bee: f.Bee}
 	}
-	return true
+	s := n.(*exec.BatchSeqScan)
+	part := exec.NewBatchSeqScan(s.Heap, s.Deform, s.NAtts)
+	part.GCL, part.Fused, part.FusedPred = s.GCL, s.Fused, s.FusedPred
+	part.Range, part.Partial = r, true
+	return part
 }
 
-// buildParts replicates the region once per page-range partition. Every
-// replica gets its own deform closure (GCL bee) and freshly compiled
-// predicate closures (EVP bees) from the bee module, so partition workers
-// share no mutable state on the per-tuple path.
-func (p *Planner) buildParts(r *scanRegion) ([]exec.Node, error) {
-	ranges := r.scan.Heap.Partitions(p.Workers)
+// buildParts replicates a parallel-safe spine once per page-range
+// partition, each rooted in a Rebatch; nil when the spine is not
+// parallel-safe or its heap is too small to split.
+func (p *Planner) buildParts(spine exec.BatchNode) []exec.Node {
+	scan := spineScan(spine)
+	if scan == nil || scan.Heap.NumPages() < minParallelPages {
+		return nil
+	}
+	ranges := scan.Heap.Partitions(p.Workers)
 	if len(ranges) < 2 {
-		return nil, nil
+		return nil
 	}
 	parts := make([]exec.Node, len(ranges))
-	for i, pr := range ranges {
-		deform, err := p.Mod.Deformer(r.scan.Heap.Rel)
-		if err != nil {
-			return nil, err
-		}
-		scan := exec.NewSeqScanRange(r.scan.Heap, deform, r.scan.NAtts, pr)
-		scan.GCL = r.scan.GCL
-		var node exec.Node = scan
-		for j := len(r.filters) - 1; j >= 0; j-- {
-			f := r.filters[j]
-			nf := &exec.Filter{Child: node, Pred: f.Pred}
-			if f.Bee != nil {
-				nf.Bee, _ = p.Mod.CompilePredicate(f.Pred)
-			}
-			node = nf
-		}
-		parts[i] = node
+	for i, r := range ranges {
+		parts[i] = &exec.Rebatch{Child: partition(spine, r)}
 	}
-	return parts, nil
+	return parts
 }
 
 // parallelize rewrites a finished serial plan for intra-query
 // parallelism. It only introduces Gather nodes where the result stays
 // byte-identical to the serial plan:
 //
-//   - a HashAgg over a scan region becomes a partial-aggregation Gather
-//     (merging partition tables in page order reproduces the serial
-//     first-appearance group order);
-//   - a Sort (optionally over a Project) over a scan region becomes a
+//   - a BatchHashAgg over a scan spine becomes a partial-aggregation
+//     Gather (merging partition tables in page order reproduces the
+//     serial first-appearance group order);
+//   - a Sort (optionally over a Project) over a scan spine becomes a
 //     sorted-run-merge Gather (ties resolve in partition page order,
 //     matching the serial stable sort).
 //
@@ -96,7 +81,7 @@ func (p *Planner) buildParts(r *scanRegion) ([]exec.Node, error) {
 // would reorder visible rows. Joins and subquery-bearing predicates also
 // stay serial.
 func (p *Planner) parallelize(n exec.Node) exec.Node {
-	if p.Workers <= 1 || p.Mod == nil {
+	if p.Workers <= 1 {
 		return n
 	}
 	return p.parRewrite(n)
@@ -104,15 +89,16 @@ func (p *Planner) parallelize(n exec.Node) exec.Node {
 
 func (p *Planner) parRewrite(n exec.Node) exec.Node {
 	switch v := n.(type) {
-	case *exec.HashAgg:
+	case *exec.BatchHashAgg:
 		if g := p.tryGatherAgg(v); g != nil {
 			return g
 		}
-		v.Child = p.parRewrite(v.Child)
 	case *exec.Sort:
 		if g := p.tryGatherMerge(v); g != nil {
 			return g
 		}
+		v.Child = p.parRewrite(v.Child)
+	case *exec.HashAgg:
 		v.Child = p.parRewrite(v.Child)
 	case *exec.Filter:
 		v.Child = p.parRewrite(v.Child)
@@ -134,16 +120,9 @@ func (p *Planner) parRewrite(n exec.Node) exec.Node {
 	return n
 }
 
-// tryGatherAgg converts HashAgg(region) into a partial-aggregation
+// tryGatherAgg converts BatchHashAgg(spine) into a partial-aggregation
 // Gather, or returns nil when the plan is not parallel-safe.
-func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
-	region := scanRegionOf(agg.Child)
-	if region == nil || !region.safe() {
-		return nil
-	}
-	if region.scan.Heap.NumPages() < minParallelPages {
-		return nil
-	}
+func (p *Planner) tryGatherAgg(agg *exec.BatchHashAgg) exec.Node {
 	for i := range agg.Aggs {
 		spec := &agg.Aggs[i]
 		// DISTINCT states cannot be merged across partitions.
@@ -156,64 +135,40 @@ func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
 			return nil
 		}
 	}
-	parts, err := p.buildParts(region)
-	if err != nil || parts == nil {
+	parts := p.buildParts(agg.Child)
+	if parts == nil {
 		return nil
-	}
-	// Per-partition EVA bee closures: each worker evaluates aggregate
-	// inputs through its own compiled routine.
-	var partAggs [][]exec.AggSpec
-	for i := range agg.Aggs {
-		if agg.Aggs[i].Bee != nil {
-			partAggs = make([][]exec.AggSpec, len(parts))
-			for pi := range parts {
-				specs := append([]exec.AggSpec(nil), agg.Aggs...)
-				for si := range specs {
-					if specs[si].Bee != nil {
-						specs[si].Bee, _ = p.Mod.CompileScalar(specs[si].Arg)
-					}
-				}
-				partAggs[pi] = specs
-			}
-			break
-		}
 	}
 	p.Mod.NoteParallelPlan()
 	return &exec.Gather{
-		Parts:    parts,
-		Workers:  len(parts),
-		GroupBy:  agg.GroupBy,
-		Aggs:     agg.Aggs,
-		PartAggs: partAggs,
+		Parts:   parts,
+		Workers: len(parts),
+		Mode:    exec.GatherAgg,
+		GroupBy: agg.GroupBy,
+		Aggs:    agg.Aggs,
 	}
 }
 
-// tryGatherMerge converts Sort(Project?(region)) into a sorted-run-merge
+// tryGatherMerge converts Sort(Project?(spine)) into a sorted-run-merge
 // Gather whose partitions sort in parallel, or returns nil when the plan
 // is not parallel-safe.
 func (p *Planner) tryGatherMerge(s *exec.Sort) exec.Node {
 	child := s.Child
-	var proj *exec.Project
-	if pr, ok := child.(*exec.Project); ok {
-		proj = pr
-		child = pr.Child
-	}
-	region := scanRegionOf(child)
-	if region == nil || !region.safe() {
-		return nil
-	}
-	if region.scan.Heap.NumPages() < minParallelPages {
-		return nil
-	}
+	proj, _ := child.(*exec.Project)
 	if proj != nil {
 		for _, e := range proj.Exprs {
 			if !exec.ParallelSafeExpr(e) {
 				return nil
 			}
 		}
+		child = proj.Child
 	}
-	parts, err := p.buildParts(region)
-	if err != nil || parts == nil {
+	rb, ok := child.(*exec.Rebatch)
+	if !ok {
+		return nil
+	}
+	parts := p.buildParts(rb.Child)
+	if parts == nil {
 		return nil
 	}
 	for i, part := range parts {
@@ -226,6 +181,7 @@ func (p *Planner) tryGatherMerge(s *exec.Sort) exec.Node {
 	return &exec.Gather{
 		Parts:     parts,
 		Workers:   len(parts),
+		Mode:      exec.GatherMerge,
 		MergeKeys: s.Keys,
 	}
 }

@@ -2,11 +2,18 @@
 // plan trees. It owns join ordering (greedy left-deep), predicate
 // pushdown, aggregate extraction, subquery decorrelation, the EXPLAIN /
 // EXPLAIN ANALYZE renderers, and — at the end of planning — the
-// intra-query parallelization pass that rewrites eligible scan regions
-// into Gather nodes with per-worker bee closures (parallel.go). It is
-// also where bees are placed into plans: every scan, filter, join, and
-// aggregate consults the bee module (internal/core) for a specialized
-// routine and falls back to the generic evaluator when none applies.
+// intra-query parallelization pass that rewrites eligible scan spines
+// into Gather nodes whose partitions share the serial plan's bees
+// (parallel.go). It is also where bees are placed into plans: every
+// scan, filter, join, and aggregate consults the bee module
+// (internal/core) for a specialized routine and falls back to the
+// generic evaluator when none applies.
+//
+// Every sequential scan is built on the batch executor path as a scan
+// spine: a chain of BatchFilters over one BatchSeqScan, rooted in a
+// Rebatch adapter so row-at-a-time consumers (joins, sorts, projections)
+// read it unchanged. Filters pushed onto a spine extend it, and an
+// aggregation directly over one drains its batches (BatchHashAgg).
 package plan
 
 import (
@@ -32,10 +39,6 @@ type Planner struct {
 	// Workers is the intra-query parallelism degree; plans stay serial
 	// when it is ≤ 1 (see parallelize).
 	Workers int
-	// Batch enables the batch-at-a-time rewrite of eligible scan spines
-	// (see batch.go); it runs after parallelize so partition subplans
-	// batch too.
-	Batch bool
 	// Params is the prepared-statement slot array $n placeholders bind
 	// to. Nil outside a prepared statement, in which case placeholders
 	// are a planning error. The engine copies the Planner per prepare, so
@@ -77,7 +80,6 @@ func (p *Planner) PlanSelect(sel *sql.Select) (*Planned, error) {
 		return nil, err
 	}
 	node = p.parallelize(node)
-	node = p.batchify(node)
 	cols := make([]exec.ColInfo, len(sc.cols))
 	for i, c := range sc.cols {
 		cols[i] = exec.ColInfo{Name: c.name, T: c.t}
@@ -85,28 +87,54 @@ func (p *Planner) PlanSelect(sel *sql.Select) (*Planned, error) {
 	return &Planned{Root: node, Cols: cols}, nil
 }
 
-// scanFor builds a sequential scan over a base relation through the bee
-// module's deformer selection.
+// scanFor builds a bare scan spine over a base relation: a BatchSeqScan
+// deforming through the bee module's batch deformer (the GCL bee or the
+// generic loop), behind the Rebatch adapter.
 func (p *Planner) scanFor(rel *catalog.Relation) (exec.Node, error) {
 	h, err := p.HeapFor(rel)
 	if err != nil {
 		return nil, err
 	}
-	deform, err := p.Mod.Deformer(rel)
+	deform, err := p.Mod.BatchDeformer(rel)
 	if err != nil {
 		return nil, err
 	}
-	scan := exec.NewSeqScan(h, deform, 0)
+	scan := exec.NewBatchSeqScan(h, deform, 0)
 	scan.GCL = p.Mod.GCLBee(rel)
-	return scan, nil
+	return &exec.Rebatch{Child: scan}, nil
 }
 
-// filter wraps child in a Filter for pred, with the predicate's EVP bee
-// when the bee module admits one.
-func (p *Planner) filter(child exec.Node, pred expr.Expr) *exec.Filter {
-	f := &exec.Filter{Child: child, Pred: pred}
-	f.Bee, _ = p.Mod.CompilePredicate(pred)
-	return f
+// bareScan returns the scan of a spine that carries no predicate yet, or
+// nil when n is anything else.
+func bareScan(n exec.Node) *exec.BatchSeqScan {
+	if rb, ok := n.(*exec.Rebatch); ok {
+		if s, ok := rb.Child.(*exec.BatchSeqScan); ok && s.Fused == nil {
+			return s
+		}
+	}
+	return nil
+}
+
+// filter applies pred to child's rows, with the predicate's EVP bee when
+// the bee module admits one. Over a scan spine the predicate extends the
+// spine: fused into a bare scan as the composed GCL∘EVP routine when the
+// bee module covers relation and predicate, otherwise as a BatchFilter.
+// Any other child gets a row-at-a-time Filter.
+func (p *Planner) filter(child exec.Node, pred expr.Expr) exec.Node {
+	bee, _ := p.Mod.CompilePredicate(pred)
+	rb, ok := child.(*exec.Rebatch)
+	if !ok {
+		return &exec.Filter{Child: child, Pred: pred, Bee: bee}
+	}
+	// Fusing the first predicate keeps predicate order: later ones run
+	// above it, on the rows it passed.
+	if s := bareScan(child); s != nil && bee != nil {
+		if fs, ok := p.Mod.CompileFusedScanFilter(s.Heap.Rel, pred, s.NAtts); ok {
+			s.Fused, s.FusedPred = fs, pred
+			return rb
+		}
+	}
+	return &exec.Rebatch{Child: &exec.BatchFilter{Child: rb.Child, Pred: pred, Bee: bee}}
 }
 
 // estRows estimates a base relation's cardinality for join ordering.

@@ -103,9 +103,9 @@ func TestFilterPushdownBelowJoin(t *testing.T) {
 	if len(joins) != 1 {
 		t.Fatalf("hash joins = %d", len(joins))
 	}
-	// Both single-table predicates must sit below the join. The batchify
-	// pass converts pushed Filter→SeqScan spines, and on a bee-enabled
-	// database each filter fuses into its scan (scan.Fused non-nil).
+	// Both single-table predicates must sit below the join: pushed onto
+	// the scan spines, where on a bee-enabled database each filter fuses
+	// into its scan (scan.Fused non-nil).
 	sideFused := func(n exec.Node) int {
 		fused := 0
 		for _, s := range nodesOf[*exec.BatchSeqScan](walk(n)) {
@@ -310,7 +310,7 @@ func TestExplainMarksBeeRoutines(t *testing.T) {
 	}
 	// The pushed b_id filter fuses into its scan, so the predicate's EVP
 	// marker appears as the composed [GCL+EVP] routine.
-	for _, want := range []string{"[GCL]", "[GCL+EVP]", "[EVJ]", "[EVA]", "HashJoin", "HashAgg", "SeqScan big"} {
+	for _, want := range []string{"[GCL]", "[GCL+EVP]", "[EVJ]", "[EVA]", "HashJoin", "HashAgg", "BatchSeqScan big"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q:\n%s", want, out)
 		}

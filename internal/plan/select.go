@@ -213,7 +213,7 @@ func (sp *selectPlan) attachFilters(it *fromItem) error {
 	return nil
 }
 
-// tryIndexScan replaces a base-table sequential scan with an equality
+// tryIndexScan replaces a base table's bare scan spine with an equality
 // index scan when the pushed conjuncts pin a prefix of some index's key
 // to row-independent values (constants or prepared-statement
 // parameters). The full filter stays on top as a recheck, so the
@@ -223,7 +223,7 @@ func (p *Planner) tryIndexScan(it *fromItem, conjuncts []expr.Expr) {
 	if it.rel == nil || p.IndexesFor == nil {
 		return
 	}
-	if _, ok := it.node.(*exec.SeqScan); !ok {
+	if bareScan(it.node) == nil {
 		return
 	}
 	// Equality bindings: column ordinal → key expression. The scan emits
@@ -832,8 +832,10 @@ func (sp *selectPlan) finishSelect(sel *sql.Select, ts *treeState) (exec.Node, *
 	return node, out, nil
 }
 
-// planAggregation builds the HashAgg node: group keys from GROUP BY,
-// aggregate specs extracted from the select list, HAVING, and ORDER BY.
+// planAggregation builds the aggregation node — BatchHashAgg draining a
+// scan spine's batches directly, HashAgg over any other input: group keys
+// from GROUP BY, aggregate specs extracted from the select list, HAVING,
+// and ORDER BY.
 // It returns the post-aggregation scope and the substitution table used
 // to rewrite those expressions over the aggregate output.
 func (sp *selectPlan) planAggregation(sel *sql.Select, ts *treeState, outASTs []sql.Expr) (exec.Node, *scope, map[string]substVar, error) {
@@ -981,7 +983,11 @@ func (sp *selectPlan) planAggregation(sel *sql.Select, ts *treeState, outASTs []
 	for _, a := range aggs {
 		postCols = append(postCols, column{name: a.Name, t: a.ResultType()})
 	}
-	return &exec.HashAgg{Child: ts.node, GroupBy: groupExprs, Aggs: aggs}, sp.newScope(postCols), subst, nil
+	var agg exec.Node = &exec.HashAgg{Child: ts.node, GroupBy: groupExprs, Aggs: aggs}
+	if rb, ok := ts.node.(*exec.Rebatch); ok {
+		agg = &exec.BatchHashAgg{Child: rb.Child, GroupBy: groupExprs, Aggs: aggs}
+	}
+	return agg, sp.newScope(postCols), subst, nil
 }
 
 // extractAggsOnly walks e calling extract on aggregate FuncCall nodes

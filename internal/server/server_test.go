@@ -163,7 +163,7 @@ func TestSessionSettings(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	for _, kv := range [][2]string{{"timeout_ms", "5000"}, {"workers", "2"}, {"batch", "off"}} {
+	for _, kv := range [][2]string{{"timeout_ms", "5000"}, {"workers", "2"}} {
 		if err := c.Set(kv[0], kv[1]); err != nil {
 			t.Fatalf("Set %v: %v", kv, err)
 		}

@@ -1,10 +1,12 @@
 package tpch
 
 import (
+	"fmt"
 	"testing"
 
 	"microspec/internal/core"
 	"microspec/internal/engine"
+	"microspec/internal/expr"
 	"microspec/internal/types"
 )
 
@@ -149,54 +151,65 @@ func TestTupleBeeStorageSmallerThanStock(t *testing.T) {
 }
 
 // TestAll22QueriesAgree runs every TPC-H query on the stock and the
-// bee-enabled database and requires identical results — the
-// end-to-end correctness statement for every micro-specialization at
-// once.
+// bee-enabled database, serially and with 4 workers, and requires
+// identical results, row order included — the end-to-end correctness
+// statement for every micro-specialization at once.
 func TestAll22QueriesAgree(t *testing.T) {
 	stock, bee := loadPair(t)
-	for _, qn := range QueryNumbers() {
-		q := Queries()[qn]
-		rs, err := stock.Query(q)
-		if err != nil {
-			t.Fatalf("q%d stock: %v", qn, err)
+	for _, workers := range []int{1, 4} {
+		stock.SetWorkers(workers)
+		bee.SetWorkers(workers)
+		for _, qn := range QueryNumbers() {
+			q := Queries()[qn]
+			rs, err := stock.Query(q)
+			if err != nil {
+				t.Fatalf("q%d workers=%d stock: %v", qn, workers, err)
+			}
+			rb, err := bee.Query(q)
+			if err != nil {
+				t.Fatalf("q%d workers=%d bee: %v", qn, workers, err)
+			}
+			assertAgree(t, fmt.Sprintf("q%d workers=%d", qn, workers), rs.Rows, rb.Rows)
 		}
-		rb, err := bee.Query(q)
-		if err != nil {
-			t.Fatalf("q%d bee: %v", qn, err)
-		}
-		if len(rs.Rows) != len(rb.Rows) {
-			t.Errorf("q%d: stock %d rows, bee %d rows", qn, len(rs.Rows), len(rb.Rows))
-			continue
-		}
-		for i := range rs.Rows {
-			for j := range rs.Rows[i] {
-				a, b := rs.Rows[i][j], rb.Rows[i][j]
-				if a.IsNull() != b.IsNull() {
-					t.Errorf("q%d row %d col %d: null mismatch %v vs %v", qn, i, j, a, b)
-					continue
+	}
+}
+
+// assertAgree requires two results to match row for row; floats may
+// differ by a relative 1e-9.
+func assertAgree(t *testing.T, label string, stock, bee []expr.Row) {
+	t.Helper()
+	if len(stock) != len(bee) {
+		t.Errorf("%s: stock %d rows, bee %d rows", label, len(stock), len(bee))
+		return
+	}
+	for i := range stock {
+		for j := range stock[i] {
+			a, b := stock[i][j], bee[i][j]
+			if a.IsNull() != b.IsNull() {
+				t.Errorf("%s row %d col %d: null mismatch %v vs %v", label, i, j, a, b)
+				continue
+			}
+			if a.IsNull() {
+				continue
+			}
+			if a.Kind() == types.KindFloat64 {
+				af, bf := a.Float64(), b.Float64()
+				diff := af - bf
+				if diff < 0 {
+					diff = -diff
 				}
-				if a.IsNull() {
-					continue
+				scale := 1.0
+				if af > 1 || af < -1 {
+					scale = af
+					if scale < 0 {
+						scale = -scale
+					}
 				}
-				if a.Kind() == types.KindFloat64 {
-					af, bf := a.Float64(), b.Float64()
-					diff := af - bf
-					if diff < 0 {
-						diff = -diff
-					}
-					scale := 1.0
-					if af > 1 || af < -1 {
-						scale = af
-						if scale < 0 {
-							scale = -scale
-						}
-					}
-					if diff/scale > 1e-9 {
-						t.Errorf("q%d row %d col %d: %v vs %v", qn, i, j, af, bf)
-					}
-				} else if a.Compare(b) != 0 {
-					t.Errorf("q%d row %d col %d: %v vs %v", qn, i, j, a, b)
+				if diff/scale > 1e-9 {
+					t.Errorf("%s row %d col %d: %v vs %v", label, i, j, af, bf)
 				}
+			} else if a.Compare(b) != 0 {
+				t.Errorf("%s row %d col %d: %v vs %v", label, i, j, a, b)
 			}
 		}
 	}
