@@ -518,7 +518,7 @@ type BatchHashAgg struct {
 
 // Open implements Node: it consumes the whole child.
 func (a *BatchHashAgg) Open(ctx *Ctx) error {
-	a.table = newAggTable()
+	a.table = &aggTable{}
 	a.pos = 0
 	if a.outBuf == nil {
 		a.outBuf = make(expr.Row, len(a.GroupBy)+len(a.Aggs))
@@ -558,7 +558,8 @@ func (a *BatchHashAgg) Next(ctx *Ctx) (expr.Row, bool, error) {
 func (a *BatchHashAgg) Close(*Ctx) {
 	noteEVA(a.Aggs, a.evaCalls)
 	a.evaCalls = 0
-	a.table = nil
+	a.table = nil // released as in HashAgg.Close
+	clear(a.outBuf)
 }
 
 // Schema implements Node (group keys then aggregates, like HashAgg).

@@ -1,9 +1,9 @@
 package exec
 
 import (
-	"testing"
-
 	"fmt"
+	"slices"
+	"testing"
 
 	"microspec/internal/catalog"
 	"microspec/internal/core"
@@ -615,5 +615,182 @@ func TestHashJoinRejectsEmptyKeys(t *testing.T) {
 	j := &HashJoin{Outer: outer, Inner: inner, Type: InnerJoin}
 	if err := j.Open(&Ctx{}); err == nil {
 		t.Error("hash join without keys must fail to open")
+	}
+}
+
+// reusingNode replays rows through one row buffer and one payload buffer
+// that it overwrites on every Next, end of input included, the way a scan
+// over a reused page or deform buffer does. An operator that keeps a
+// child row past the child's next Next call without copying it, byte
+// payloads included, reads the overwritten values.
+type reusingNode struct {
+	rows    []expr.Row
+	cols    []ColInfo
+	buf     expr.Row
+	payload []byte
+	pos     int
+}
+
+func newReusingNode(v *ValuesNode) *reusingNode {
+	most := 0
+	for _, row := range v.Rows {
+		n := 0
+		for _, d := range row {
+			n += len(d.Bytes())
+		}
+		most = max(most, n)
+	}
+	return &reusingNode{rows: v.Rows, cols: v.Cols,
+		buf: make(expr.Row, len(v.Cols)), payload: make([]byte, 0, most)}
+}
+
+func (r *reusingNode) Open(*Ctx) error { r.pos = 0; return nil }
+
+func (r *reusingNode) Next(*Ctx) (expr.Row, bool, error) {
+	for i := range r.buf {
+		r.buf[i] = i32(-7777)
+	}
+	p := r.payload[:cap(r.payload)]
+	for i := range p {
+		p[i] = '#'
+	}
+	if r.pos >= len(r.rows) {
+		return nil, false, nil
+	}
+	row := r.rows[r.pos]
+	r.pos++
+	r.payload = r.payload[:0]
+	for i, d := range row {
+		if b := d.Bytes(); len(b) > 0 {
+			start := len(r.payload)
+			r.payload = append(r.payload, b...) // within capacity: never moves
+			d = types.NewBytes(r.payload[start:], d.Kind())
+		}
+		r.buf[i] = d
+	}
+	return r.buf, true, nil
+}
+
+func (r *reusingNode) Close(*Ctx) {}
+
+func (r *reusingNode) Schema() []ColInfo { return r.cols }
+
+// multiset renders rows as sorted strings, for order-insensitive compares.
+func multiset(rows []expr.Row) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		out[i] = fmt.Sprint(row)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestBufferingOperatorsCopyChildRows runs every operator that keeps
+// child rows — hash-join build and probe sides, nested-loop outer rows,
+// Sort, Materialize, Distinct and HashAgg — over a child that overwrites
+// its row and payload buffers on every Next, and requires the multiset
+// ValuesNode children give.
+func TestBufferingOperatorsCopyChildRows(t *testing.T) {
+	vc := types.Varchar(8)
+	cols := func(k, s, v string) []ColInfo {
+		return []ColInfo{{Name: k, T: types.Int32}, {Name: s, T: vc}, {Name: v, T: types.Int32}}
+	}
+	row := func(k int32, s string, v int32) expr.Row { return expr.Row{i32(k), str(s), i32(v)} }
+	outerRows := func() *ValuesNode {
+		return vals(cols("ok", "os", "ov"),
+			row(1, "key-1", 10), row(2, "key-2", 20), row(3, "key-3", 30),
+			row(3, "key-3", 31), row(4, "key-4", 40), row(2, "key-2", 21),
+			expr.Row{types.Null, types.Null, i32(50)}, row(6, "key-6", 60))
+	}
+	innerRows := func() *ValuesNode {
+		return vals(cols("ik", "is", "iw"),
+			row(2, "key-2", 200), row(3, "key-3", 25), row(3, "key-3", 301),
+			row(5, "key-5", 500), row(2, "key-2", 5), row(4, "key-4", 1),
+			expr.Row{types.Null, types.Null, i32(900)}, row(3, "key-3", 302))
+	}
+	m := core.NewModule(core.AllRoutines)
+	evj, ok := m.CompileJoinKeys([]int{0, 1}, []int{0, 1}, []types.T{types.Int32, vc})
+	if !ok {
+		t.Fatal("EVJ compile failed")
+	}
+	// ov < iw over the combined row (outer is three columns wide).
+	residual := &expr.Cmp{Op: expr.LT, L: &expr.Var{Idx: 2, T: types.Int32}, R: &expr.Var{Idx: 5, T: types.Int32}}
+	sameKey := &expr.Cmp{Op: expr.EQ, L: &expr.Var{Idx: 1, T: vc}, R: &expr.Var{Idx: 4, T: vc}}
+	ks := &expr.Var{Idx: 1, T: vc}
+	v := &expr.Var{Idx: 2, T: types.Int32}
+
+	type opCase struct {
+		name string
+		make func(outer, inner Node) Node
+	}
+	var cases []opCase
+	for _, jt := range []JoinType{InnerJoin, LeftJoin, SemiJoin, AntiJoin} {
+		for _, res := range []expr.Expr{nil, residual} {
+			for _, bee := range []*core.JoinKeyFuncs{nil, evj} {
+				name := fmt.Sprintf("HashJoin/%s/residual=%t/evj=%t", jt, res != nil, bee != nil)
+				cases = append(cases, opCase{name, func(outer, inner Node) Node {
+					return &HashJoin{Outer: outer, Inner: inner, OuterKeys: []int{0, 1}, InnerKeys: []int{0, 1},
+						Type: jt, Residual: res, EVJ: bee}
+				}})
+			}
+		}
+		cases = append(cases, opCase{"NLJoin/" + jt.String(), func(outer, inner Node) Node {
+			return &NLJoin{Outer: outer, Inner: &Materialize{Child: inner}, Type: jt, Qual: sameKey}
+		}})
+	}
+	cases = append(cases,
+		opCase{"Sort", func(outer, _ Node) Node {
+			return &Sort{Child: outer, Keys: []SortKey{{Idx: 1}, {Idx: 2, Desc: true}}}
+		}},
+		opCase{"Materialize", func(outer, _ Node) Node { return &Materialize{Child: outer} }},
+		opCase{"Distinct", func(_, inner Node) Node {
+			return &Distinct{Child: &Project{Child: inner, Exprs: []expr.Expr{ks}, Cols: []ColInfo{{Name: "s", T: vc}}}}
+		}},
+		opCase{"HashAgg", func(outer, _ Node) Node {
+			return &HashAgg{Child: outer, GroupBy: []expr.Expr{ks}, Aggs: []AggSpec{
+				{Fn: AggCount, Name: "c"}, {Fn: AggSum, Arg: v, Name: "s"},
+				{Fn: AggMin, Arg: ks, Name: "mn"}, {Fn: AggMax, Arg: ks, Name: "mx"},
+			}}
+		}},
+	)
+	for _, c := range cases {
+		want := multiset(mustCollect(t, c.make(outerRows(), innerRows())))
+		if len(want) == 0 {
+			t.Fatalf("%s: empty reference result", c.name)
+		}
+		got := multiset(mustCollect(t, c.make(newReusingNode(outerRows()), newReusingNode(innerRows()))))
+		if !slices.Equal(want, got) {
+			t.Errorf("%s over a buffer-reusing child:\n got %v\nwant %v", c.name, got, want)
+		}
+	}
+}
+
+// TestHashJoinBucketOrder requires a probe to emit the build rows that
+// share its key in build order, with the outer rows in probe order — the
+// order the planner's unordered results and stable sorts see.
+func TestHashJoinBucketOrder(t *testing.T) {
+	var inner []expr.Row
+	for i := int32(0); i < 40; i++ {
+		inner = append(inner, expr.Row{i32(i % 3), i32(i)})
+	}
+	outer := []expr.Row{{i32(2)}, {i32(0)}, {i32(7)}, {i32(2)}}
+	var want []expr.Row
+	for _, o := range outer {
+		for _, in := range inner {
+			if in[0].Int32() == o[0].Int32() {
+				want = append(want, expr.Row{o[0], in[0], in[1]})
+			}
+		}
+	}
+	for _, child := range []func(*ValuesNode) Node{
+		func(v *ValuesNode) Node { return v },
+		func(v *ValuesNode) Node { return newReusingNode(v) },
+	} {
+		j := &HashJoin{
+			Outer:     child(vals(intCols("ok"), outer...)),
+			Inner:     child(vals(intCols("ik", "seq"), inner...)),
+			OuterKeys: []int{0}, InnerKeys: []int{0}, Type: InnerJoin,
+		}
+		assertRowsEqual(t, "bucket order", want, mustCollect(t, j))
 	}
 }

@@ -90,7 +90,10 @@ func (p *Project) Next(ctx *Ctx) (expr.Row, bool, error) {
 }
 
 // Close implements Node.
-func (p *Project) Close(ctx *Ctx) { p.Child.Close(ctx) }
+func (p *Project) Close(ctx *Ctx) {
+	p.Child.Close(ctx)
+	clear(p.buf) // its datums may point into the child's released arenas
+}
 
 // Schema implements Node.
 func (p *Project) Schema() []ColInfo { return p.Cols }
@@ -143,7 +146,7 @@ func (l *Limit) Schema() []ColInfo { return l.Child.Schema() }
 type Materialize struct {
 	Child Node
 
-	rows   []expr.Row
+	buf    rowArena
 	filled bool
 	pos    int
 }
@@ -166,7 +169,7 @@ func (m *Materialize) Open(ctx *Ctx) error {
 		if !ok {
 			break
 		}
-		m.rows = append(m.rows, CloneRow(row))
+		m.buf.add(row)
 	}
 	m.filled = true
 	return nil
@@ -174,10 +177,10 @@ func (m *Materialize) Open(ctx *Ctx) error {
 
 // Next implements Node.
 func (m *Materialize) Next(ctx *Ctx) (expr.Row, bool, error) {
-	if m.pos >= len(m.rows) {
+	if m.pos >= len(m.buf.rows) {
 		return nil, false, nil
 	}
-	row := m.rows[m.pos]
+	row := m.buf.rows[m.pos]
 	m.pos++
 	ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple)
 	return row, true, nil
@@ -192,6 +195,6 @@ func (m *Materialize) Schema() []ColInfo { return m.Child.Schema() }
 // Invalidate drops the buffered rows so the next Open re-reads the child
 // (used between statements when the underlying relation changed).
 func (m *Materialize) Invalidate() {
-	m.rows = nil
+	m.buf = rowArena{}
 	m.filled = false
 }

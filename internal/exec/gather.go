@@ -215,7 +215,7 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 			return err
 		}
 		defer node.Close(wctx)
-		table := newAggTable()
+		table := &aggTable{}
 		keyBuf := make(expr.Row, len(g.GroupBy))
 		var rows, eva int64
 		// Batch fast path: a Rebatch-rooted partition is driven batch by
@@ -277,7 +277,7 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 	// in page order, so first appearance across partitions equals the
 	// serial first-appearance order and parallel GROUP BY output order
 	// matches the serial plan.
-	merged := newAggTable()
+	merged := &aggTable{}
 	for _, t := range partTables {
 		if t == nil {
 			continue
@@ -373,6 +373,9 @@ func (g *Gather) Next(ctx *Ctx) (expr.Row, bool, error) {
 // bee-call counts.
 func (g *Gather) Close(ctx *Ctx) {
 	g.closeParts(ctx)
+	// Release the merged groups and merge heads, as HashAgg.Close does.
+	g.table, g.heads = nil, nil
+	clear(g.outBuf)
 	noteEVA(g.Aggs, g.evaCalls)
 	g.evaCalls = 0
 }

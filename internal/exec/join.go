@@ -53,15 +53,22 @@ type HashJoin struct {
 	evjCalls int64
 	resCalls int64
 
-	table    map[uint64][]expr.Row
+	// build holds copies of the inner rows in build order; index chains
+	// their ids by key hash.
+	build    rowArena
+	index    hashIndex
 	innerW   int
 	cols     []ColInfo
 	keyTypes []types.T
 
-	outerRow expr.Row
-	matches  []expr.Row
-	matchPos int
-	combined expr.Row
+	// outerRow is the current outer row, valid while haveOuter. It is the
+	// outer child's own row, not a copy: Next calls Outer.Next only once
+	// it is done with the row, so the Node contract keeps it valid.
+	outerRow  expr.Row
+	haveOuter bool
+	matches   []expr.Row
+	matchPos  int
+	combined  expr.Row
 	// emitted records whether the current left-join outer row produced at
 	// least one residual-surviving match (controls null extension).
 	emitted bool
@@ -79,12 +86,12 @@ func (h *HashJoin) Open(ctx *Ctx) error {
 	for i, k := range h.InnerKeys {
 		h.keyTypes[i] = innerCols[k].T
 	}
-	h.table = make(map[uint64][]expr.Row)
+	h.build, h.index = rowArena{}, hashIndex{}
 	if err := h.buildTable(ctx); err != nil {
 		return err
 	}
-	h.outerRow = nil
-	h.matches = nil
+	h.outerRow, h.haveOuter = nil, false
+	h.matches = h.matches[:0]
 	h.matchPos = 0
 	if h.combined == nil {
 		h.combined = make(expr.Row, len(h.Outer.Schema())+h.innerW)
@@ -92,9 +99,10 @@ func (h *HashJoin) Open(ctx *Ctx) error {
 	return h.Outer.Open(ctx)
 }
 
-// buildTable drains the inner child into the hash table. The close is
-// deferred so the inner subtree (and any buffer pins its scans hold) is
-// released even when a bee panic unwinds through the drain loop.
+// buildTable copies the inner child's rows into the build arena and
+// indexes them by key hash. The close is deferred so the inner subtree
+// (and any buffer pins its scans hold) is released even when a bee panic
+// unwinds through the drain loop.
 func (h *HashJoin) buildTable(ctx *Ctx) error {
 	if err := h.Inner.Open(ctx); err != nil {
 		return err
@@ -109,31 +117,23 @@ func (h *HashJoin) buildTable(ctx *Ctx) error {
 			return nil
 		}
 		ctx.Prof().Add(profile.CompExec, profile.HashBuild)
-		key := h.hashInner(row, ctx)
-		h.table[key] = append(h.table[key], CloneRow(row))
+		h.index.add(h.hashInner(row))
+		h.build.add(row)
 	}
 }
 
-func (h *HashJoin) hashInner(row expr.Row, ctx *Ctx) uint64 {
+func (h *HashJoin) hashInner(row expr.Row) uint64 {
 	if h.EVJ != nil {
 		return h.EVJ.HashInner(row)
 	}
-	return genericHash(row, h.InnerKeys)
+	return hashRow(row, h.InnerKeys)
 }
 
-func (h *HashJoin) hashOuter(row expr.Row, ctx *Ctx) uint64 {
+func (h *HashJoin) hashOuter(row expr.Row) uint64 {
 	if h.EVJ != nil {
 		return h.EVJ.HashOuter(row)
 	}
-	return genericHash(row, h.OuterKeys)
-}
-
-func genericHash(row expr.Row, keys []int) uint64 {
-	h := uint64(14695981039346656037)
-	for _, k := range keys {
-		h = (h ^ row[k].Hash()) * 1099511628211
-	}
-	return h
+	return hashRow(row, h.OuterKeys)
 }
 
 // keysMatch evaluates the join qualification for one candidate pair —
@@ -176,7 +176,7 @@ func (h *HashJoin) residualOK(combined expr.Row, ctx *Ctx) bool {
 func (h *HashJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 	for {
 		// Drain pending matches for the current outer row.
-		if h.outerRow != nil && h.matchPos < len(h.matches) {
+		if h.haveOuter && h.matchPos < len(h.matches) {
 			inner := h.matches[h.matchPos]
 			h.matchPos++
 			combined := h.combine(h.outerRow, inner)
@@ -188,7 +188,7 @@ func (h *HashJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 				case AntiJoin:
 					// A surviving match disqualifies the outer row.
 					h.matchPos = len(h.matches)
-					h.outerRow = nil
+					h.haveOuter = false
 					continue
 				case LeftJoin:
 					h.emitted = true
@@ -200,18 +200,16 @@ func (h *HashJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 			continue
 		}
 		// Left join: emit outer + nulls when no residual-surviving match.
-		if h.outerRow != nil && h.Type == LeftJoin && !h.emitted {
-			row := h.combineNulls(h.outerRow)
-			h.outerRow = nil
-			return row, true, nil
+		if h.haveOuter && h.Type == LeftJoin && !h.emitted {
+			h.haveOuter = false
+			return h.combineNulls(h.outerRow), true, nil
 		}
 		// Anti join: no (surviving) match at all → emit outer row.
-		if h.outerRow != nil && h.Type == AntiJoin {
-			row := h.outerRow
-			h.outerRow = nil
-			return row, true, nil
+		if h.haveOuter && h.Type == AntiJoin {
+			h.haveOuter = false
+			return h.outerRow, true, nil
 		}
-		h.outerRow = nil
+		h.haveOuter = false
 
 		// Fetch the next outer row.
 		outer, ok, err := h.Outer.Next(ctx)
@@ -219,10 +217,9 @@ func (h *HashJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 			return nil, false, err
 		}
 		ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple+profile.HashProbe)
-		bucket := h.table[h.hashOuter(outer, ctx)]
 		h.matches = h.matches[:0]
-		for _, inner := range bucket {
-			if h.keysMatch(outer, inner, ctx) {
+		for id := h.index.first(h.hashOuter(outer)); id >= 0; id = h.index.next[id] {
+			if inner := h.build.rows[id]; h.keysMatch(outer, inner, ctx) {
 				h.matches = append(h.matches, inner)
 			}
 		}
@@ -236,9 +233,6 @@ func (h *HashJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 			if h.Residual == nil {
 				continue // matched → excluded
 			}
-			h.outerRow = CloneRow(outer)
-		case LeftJoin:
-			h.outerRow = CloneRow(outer)
 		case SemiJoin:
 			if len(h.matches) == 0 {
 				continue
@@ -247,13 +241,12 @@ func (h *HashJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 				h.matches = h.matches[:0]
 				return outer, true, nil
 			}
-			h.outerRow = CloneRow(outer)
-		default:
+		case InnerJoin:
 			if len(h.matches) == 0 {
 				continue
 			}
-			h.outerRow = CloneRow(outer)
 		}
+		h.outerRow, h.haveOuter = outer, true
 	}
 }
 
@@ -281,7 +274,12 @@ func (h *HashJoin) Close(ctx *Ctx) {
 	}
 	h.evjCalls, h.resCalls = 0, 0
 	h.Outer.Close(ctx)
-	h.table = nil
+	// Release the build side: a cached plan must not keep the inner rows
+	// (nor, through matches and combined, pointers into them).
+	h.build, h.index = rowArena{}, hashIndex{}
+	h.matches = nil
+	h.outerRow, h.haveOuter = nil, false
+	clear(h.combined)
 }
 
 // Schema implements Node.
@@ -303,7 +301,11 @@ type NLJoin struct {
 	QualBee *core.Pred
 
 	qualCalls int64
+	// outerRow is the current outer row, valid while haveOuter: the outer
+	// child's own row, which stays valid because Next reads no further
+	// outer row until the inner child is exhausted for this one.
 	outerRow  expr.Row
+	haveOuter bool
 	matched   bool
 	combined  expr.Row
 	innerOn   bool
@@ -311,7 +313,7 @@ type NLJoin struct {
 
 // Open implements Node.
 func (n *NLJoin) Open(ctx *Ctx) error {
-	n.outerRow = nil
+	n.outerRow, n.haveOuter = nil, false
 	n.innerOn = false
 	if n.combined == nil {
 		n.combined = make(expr.Row, len(n.Outer.Schema())+len(n.Inner.Schema()))
@@ -337,13 +339,13 @@ func (n *NLJoin) qualOK(combined expr.Row, ctx *Ctx) bool {
 // Next implements Node.
 func (n *NLJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 	for {
-		if n.outerRow == nil {
+		if !n.haveOuter {
 			outer, ok, err := n.Outer.Next(ctx)
 			if err != nil || !ok {
 				return nil, false, err
 			}
 			ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple)
-			n.outerRow = CloneRow(outer)
+			n.outerRow, n.haveOuter = outer, true
 			n.matched = false
 			if err := n.Inner.Open(ctx); err != nil {
 				return nil, false, err
@@ -358,7 +360,7 @@ func (n *NLJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 			n.Inner.Close(ctx)
 			n.innerOn = false
 			outer := n.outerRow
-			n.outerRow = nil
+			n.haveOuter = false
 			switch n.Type {
 			case LeftJoin:
 				if !n.matched {
@@ -385,13 +387,12 @@ func (n *NLJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 		case SemiJoin:
 			n.Inner.Close(ctx)
 			n.innerOn = false
-			outer := n.outerRow
-			n.outerRow = nil
-			return outer, true, nil
+			n.haveOuter = false
+			return n.outerRow, true, nil
 		case AntiJoin:
 			n.Inner.Close(ctx)
 			n.innerOn = false
-			n.outerRow = nil
+			n.haveOuter = false
 			continue
 		default:
 			return n.combined, true, nil
@@ -410,6 +411,7 @@ func (n *NLJoin) Close(ctx *Ctx) {
 		n.innerOn = false
 	}
 	n.Outer.Close(ctx)
+	n.outerRow, n.haveOuter = nil, false
 }
 
 // Schema implements Node.

@@ -47,6 +47,7 @@ type IndexScan struct {
 	tids []heap.TID
 	pos  int
 	buf  expr.Row
+	out  rowArena
 	cols []ColInfo
 }
 
@@ -129,8 +130,11 @@ func (s *IndexScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 		}
 		ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple)
 		s.Deform(tup, s.buf, s.NAtts, ctx.Prof())
-		// Clone before unpin: the deformed datums alias the page.
-		row := CloneRow(s.buf)
+		// Copy before unpin: the deformed datums alias the page. The copy
+		// only has to outlive the pin until the following Next, so one
+		// reused arena serves every row.
+		s.out.reuse()
+		row := s.out.copyRow(s.buf)
 		release()
 		return row, true, nil
 	}
